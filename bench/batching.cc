@@ -1,13 +1,11 @@
-// Batched wire path: prices the two batching layers against their
-// defaults-off twins on otherwise identical deployments.
+// Batched wire path: prices the two batching layers.
 //
-//   A) Shard-lane anti-entropy batching (ServerOptions::
-//      ae_shard_lane_batching): per-(peer, shard) outboxes make every push
-//      batch shard-homogeneous, so the receiver charges the batch header
-//      and WAL group commit to the owning shard's executor lane instead of
-//      the global lane. Reported: global-lane share of server busy time,
-//      saturation throughput, and gossip records per committed txn across
-//      the Figure 6c cores sweep.
+//   A) Shard-lane anti-entropy batching: per-(peer, shard) outboxes make
+//      every push batch shard-homogeneous, so the receiver charges the
+//      batch header and WAL group commit to the owning shard's executor
+//      lane instead of the global lane. Reported: global-lane share of
+//      server busy time, saturation throughput, and gossip records per
+//      committed txn across the Figure 6c cores sweep.
 //
 //   B) Client group commit (ClientOptions::batch_max): a commit's parallel
 //      puts bound for the same server coalesce into one ClientBatchRequest
@@ -15,18 +13,71 @@
 //      saturation throughput versus closed-loop clients, plus the achieved
 //      ops-per-batch amortization.
 //
-// CI regression gate: batching-on must not ship >5% more anti-entropy
-// records per committed txn than batching-off (the re-keyed outboxes remap
-// batch boundaries, never the records themselves) — exits nonzero on
-// violation, as it does if batching-on loses saturation throughput.
+// CI regression gate, against the committed bench/baselines/
+// BENCH_batching.json: at every C it covers, section A must not ship more
+// than 1.05x the committed anti-entropy records per committed txn, nor
+// exceed the committed global-lane share; group commit must not lose
+// saturation throughput. Exits nonzero on a violation, or when the
+// baseline covers no C of the sweep.
 //
 // HAT_BENCH_QUICK=1 runs a reduced sweep; HAT_BENCH_JSON=<path> writes the
 // machine-readable summary (BENCH_batching.json in CI).
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+
+namespace {
+
+/// The committed value of `series` at x == `x` in figure `figure` of
+/// bench/baselines/BENCH_batching.json, or nullopt if any part is absent.
+/// Relies on JsonSummary's layout: one figure per line, "x" before
+/// "series".
+std::optional<double> Committed(const std::string& figure,
+                                const std::string& series, double x) {
+  std::ifstream in(HAT_BENCH_BASELINE_DIR "/BENCH_batching.json");
+  auto numbers = [](const std::string& line, const std::string& key) {
+    std::vector<double> out;
+    size_t at = line.find("\"" + key + "\": [");
+    if (at == std::string::npos) return out;
+    std::istringstream list(line.substr(line.find('[', at) + 1));
+    double v;
+    char sep = ',';
+    while (sep == ',' && list >> v) {
+      out.push_back(v);
+      list >> sep;
+    }
+    return out;
+  };
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"name\": \"" + figure + "\"") == std::string::npos) {
+      continue;
+    }
+    std::vector<double> xs = numbers(line, "x");
+    std::vector<double> ys = numbers(line, series);
+    for (size_t i = 0; i < xs.size() && i < ys.size(); i++) {
+      if (xs[i] == x) return ys[i];
+    }
+  }
+  return std::nullopt;
+}
+
+/// `v` as the baseline JSON stores it (%g), so a value equal to its
+/// committed counterpart compares equal.
+double AsCommitted(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return std::strtod(buf, nullptr);
+}
+
+}  // namespace
 
 int main() {
   using namespace hat::bench;
@@ -41,94 +92,85 @@ int main() {
       "1 server/cluster, shards = cores = C, RC");
   std::vector<int> cores = quick ? std::vector<int>{2, 4}
                                  : std::vector<int>{2, 4, 8};
+  const std::string kSeries = "RC+shard-lane";
   hat::harness::FigureSeries share_fig;
   share_fig.title = "Global-lane share of server busy time (%)";
   share_fig.x_label = "cores/server";
   hat::harness::FigureSeries ae_thr_fig;
   ae_thr_fig.title = "Total throughput (1000 txns/s)";
   ae_thr_fig.x_label = "cores/server";
+  hat::harness::FigureSeries ae_records_fig;
+  ae_records_fig.title = "Anti-entropy records per committed txn";
+  ae_records_fig.x_label = "cores/server";
+  std::vector<double> shares, thrs, records;
   for (int c : cores) {
+    YcsbRun run;
+    run.deployment = hat::cluster::DeploymentOptions::TwoRegions();
+    run.deployment.servers_per_cluster = 1;
+    run.deployment.server.shards_per_server = static_cast<size_t>(c);
+    run.deployment.server.cores_per_server = static_cast<size_t>(c);
+    run.client.isolation = hat::client::IsolationLevel::kReadCommitted;
+    run.workload = PaperYcsb();
+    run.num_clients = 30 * c * 2;
+    run.measure = measure;
+    hat::server::ServerStats servers;
+    auto result = run.Execute(&servers);
+    double share = servers.busy_us > 0 && !servers.lane_busy_us.empty()
+                       ? 100.0 * servers.lane_busy_us.back() / servers.busy_us
+                       : 0.0;
+    double per_txn = result.committed > 0
+                         ? static_cast<double>(servers.ae_records_out) /
+                               static_cast<double>(result.committed)
+                         : 0.0;
+    shares.push_back(share);
+    thrs.push_back(result.TxnsPerSecond() / 1000.0);
+    records.push_back(per_txn);
+    std::printf(
+        "  shard-lane C=%d: %7.2f ktxn/s  global-lane share %5.2f%%  "
+        "ae %.2f rec/txn  %.1f rec/batch\n",
+        c, result.TxnsPerSecond() / 1000.0, share, per_txn,
+        servers.ae_batches_out > 0
+            ? static_cast<double>(servers.ae_records_out) /
+                  static_cast<double>(servers.ae_batches_out)
+            : 0.0);
     share_fig.x.push_back(c);
     ae_thr_fig.x.push_back(c);
+    ae_records_fig.x.push_back(c);
   }
-
-  // records-per-txn at the largest C, the regression gate's operands.
-  double ae_per_txn[2] = {0, 0};
-  double top_ktps[2] = {0, 0};
-  double top_share[2] = {0, 0};
-  double records_per_batch[2] = {0, 0};
-  for (int on = 0; on <= 1; on++) {
-    std::vector<double> shares, thrs;
-    for (int c : cores) {
-      YcsbRun run;
-      run.deployment = hat::cluster::DeploymentOptions::TwoRegions();
-      run.deployment.servers_per_cluster = 1;
-      run.deployment.server.shards_per_server = static_cast<size_t>(c);
-      run.deployment.server.cores_per_server = static_cast<size_t>(c);
-      run.deployment.server.ae_shard_lane_batching = (on != 0);
-      run.client.isolation = hat::client::IsolationLevel::kReadCommitted;
-      run.workload = PaperYcsb();
-      run.num_clients = 30 * c * 2;
-      run.measure = measure;
-      hat::server::ServerStats servers;
-      auto result = run.Execute(&servers);
-      double share = servers.busy_us > 0 && !servers.lane_busy_us.empty()
-                         ? 100.0 * servers.lane_busy_us.back() /
-                               servers.busy_us
-                         : 0.0;
-      shares.push_back(share);
-      thrs.push_back(result.TxnsPerSecond() / 1000.0);
-      if (c == cores.back()) {
-        ae_per_txn[on] =
-            result.committed > 0
-                ? static_cast<double>(servers.ae_records_out) /
-                      static_cast<double>(result.committed)
-                : 0.0;
-        top_ktps[on] = result.TxnsPerSecond() / 1000.0;
-        top_share[on] = share;
-        records_per_batch[on] =
-            servers.ae_batches_out > 0
-                ? static_cast<double>(servers.ae_records_out) /
-                      static_cast<double>(servers.ae_batches_out)
-                : 0.0;
-      }
-      std::printf(
-          "  shard-lane %-3s C=%d: %7.2f ktxn/s  global-lane share %5.1f%%  "
-          "ae %.2f rec/txn  %.1f rec/batch\n",
-          on ? "ON" : "off", c, result.TxnsPerSecond() / 1000.0, share,
-          result.committed > 0
-              ? static_cast<double>(servers.ae_records_out) /
-                    static_cast<double>(result.committed)
-              : 0.0,
-          servers.ae_batches_out > 0
-              ? static_cast<double>(servers.ae_records_out) /
-                    static_cast<double>(servers.ae_batches_out)
-              : 0.0);
-    }
-    share_fig.series.emplace_back(on ? "RC+shard-lane" : "RC", shares);
-    ae_thr_fig.series.emplace_back(on ? "RC+shard-lane" : "RC", thrs);
-  }
-  std::printf(
-      "\nC=%d: global-lane share %.1f%% -> %.1f%%, %.2f -> %.2f ktxn/s, "
-      "ae %.2f -> %.2f rec/txn (%.1f -> %.1f rec/batch)\n",
-      cores.back(), top_share[0], top_share[1], top_ktps[0], top_ktps[1],
-      ae_per_txn[0], ae_per_txn[1], records_per_batch[0],
-      records_per_batch[1]);
+  share_fig.series.emplace_back(kSeries, shares);
+  ae_thr_fig.series.emplace_back(kSeries, thrs);
+  ae_records_fig.series.emplace_back(kSeries, records);
   json.Add("batching_global_lane_share_pct", share_fig);
   json.Add("batching_ae_ktps", ae_thr_fig);
+  json.Add("batching_ae_records_per_txn", ae_records_fig);
 
-  if (ae_per_txn[1] > ae_per_txn[0] * 1.05) {
-    std::fprintf(stderr,
-                 "REGRESSION: shard-lane batching ships %.2f ae records/txn "
-                 "vs %.2f off (>5%%)\n",
-                 ae_per_txn[1], ae_per_txn[0]);
-    failures++;
+  // Gate against the committed baseline at every C it covers.
+  size_t gated = 0;
+  for (size_t i = 0; i < cores.size(); i++) {
+    auto rec = Committed("batching_ae_records_per_txn", kSeries, cores[i]);
+    auto share =
+        Committed("batching_global_lane_share_pct", kSeries, cores[i]);
+    if (!rec || !share) continue;
+    gated++;
+    if (AsCommitted(records[i]) > *rec * 1.05) {
+      std::fprintf(stderr,
+                   "REGRESSION: C=%d ships %g ae records/txn vs %g "
+                   "committed (>5%%)\n",
+                   cores[i], records[i], *rec);
+      failures++;
+    }
+    if (AsCommitted(shares[i]) > *share) {
+      std::fprintf(stderr,
+                   "REGRESSION: C=%d global-lane share %g%% exceeds the "
+                   "committed %g%%\n",
+                   cores[i], shares[i], *share);
+      failures++;
+    }
   }
-  if (top_share[1] >= top_share[0]) {
+  if (gated == 0) {
     std::fprintf(stderr,
-                 "REGRESSION: shard-lane batching did not reduce the "
-                 "global-lane share (%.1f%% -> %.1f%%)\n",
-                 top_share[0], top_share[1]);
+                 "REGRESSION: BENCH_batching.json commits no section A "
+                 "value for this sweep\n");
     failures++;
   }
 
@@ -151,10 +193,7 @@ int main() {
       run.deployment = hat::cluster::DeploymentOptions::SingleDatacenter();
       run.deployment.servers_per_cluster = 1;
       run.client.isolation = hat::client::IsolationLevel::kReadCommitted;
-      if (on) {
-        run.client.batch_max = 8;
-        run.deployment.server.ae_shard_lane_batching = true;
-      }
+      if (on) run.client.batch_max = 8;
       run.workload = PaperYcsb();
       run.num_clients = n;
       run.measure = measure;

@@ -264,8 +264,7 @@ std::vector<net::Envelope> OneOfEach(Rng& rng) {
   }
   {
     net::ShardDigest m;
-    m.hashes = {11, 22};
-    m.shards = {0, 1};
+    m.shards = {{0, 11}, {1, 22}};
     msgs.emplace_back(std::move(m));
   }
   {

@@ -113,11 +113,9 @@ int main() {
 
   // ---- batched wire path: client group commit at saturation ----------------
   // Beyond the paper: the same single-datacenter YCSB with the client's
-  // envelope batcher on (batch_max=8) and shard-lane anti-entropy batching
-  // at the servers. A commit's parallel puts coalesce into one
-  // ClientBatchRequest per server — one wire header, one WAL sync — so
-  // saturation throughput must rise while the default-off curves above
-  // stay byte-identical.
+  // envelope batcher on (batch_max=8). A commit's parallel puts coalesce
+  // into one ClientBatchRequest per server — one wire header, one WAL
+  // sync — so saturation throughput must rise.
   hat::harness::Banner(
       "Figure 3D: client group commit (batch_max=8) vs unbatched, "
       "single datacenter, 1 server/cluster, RC");
@@ -160,7 +158,6 @@ int main() {
         run.client.batch_max = 8;
         run.client.batch_max_wait_us = cfg.wait_us;
         run.client.adaptive_batch_wait = cfg.adaptive;
-        run.deployment.server.ae_shard_lane_batching = true;
       }
       run.workload = PaperYcsb();
       run.num_clients = n;

@@ -18,9 +18,9 @@
 // scale near-linearly in C (same-shard work serializes, cross-shard work
 // overlaps) and the printed per-lane utilization shows what binds first
 // (cores vs the global lane). A final sweep re-runs the cores sweep for RC
-// with shard-lane anti-entropy batching on vs off: tagged shard-homogeneous
-// gossip batches are charged to the owning shard's lane, so the global-lane
-// share of busy time must drop. The sweeps end with an end-to-end
+// and reports the global-lane share of busy time: tagged shard-homogeneous
+// gossip batches are charged to the owning shard's lane, so only
+// cross-shard control traffic stays global. The sweeps end with an end-to-end
 // convergence check on a multi-shard deployment (real client commits,
 // push + sharded digest repair, replica-equality assertion); a failure
 // exits nonzero so CI catches it.
@@ -493,39 +493,33 @@ int main(int argc, char** argv) {
   // ---- batched wire path: global-lane share with shard-lane AE batching ----
 
   hat::harness::Banner(
-      "Figure 6e: shard-lane anti-entropy batching vs the global lane "
+      "Figure 6e: shard-lane anti-entropy batching and the global lane "
       "(RC, 1 server/cluster, shards = cores = C)");
   hat::harness::FigureSeries batch_share_fig;
   batch_share_fig.title = "Global-lane share of server busy time (%)";
   batch_share_fig.x_label = "cores/server";
-  for (int c : cores_per_server) batch_share_fig.x.push_back(c);
-  for (int on = 0; on <= 1; on++) {
-    std::vector<double> shares;
-    for (int c : cores_per_server) {
-      YcsbRun run;
-      run.deployment = hat::cluster::DeploymentOptions::TwoRegions();
-      run.deployment.servers_per_cluster = 1;
-      run.deployment.server.shards_per_server = static_cast<size_t>(c);
-      run.deployment.server.cores_per_server = static_cast<size_t>(c);
-      run.deployment.server.ae_shard_lane_batching = (on != 0);
-      run.client.isolation = hat::client::IsolationLevel::kReadCommitted;
-      run.workload = PaperYcsb();
-      run.num_clients = 30 * c * 2;
-      run.measure = (QuickBench() ? 1 : 2) * hat::sim::kSecond;
-      hat::server::ServerStats servers;
-      auto result = run.Execute(&servers);
-      double share = servers.busy_us > 0 && !servers.lane_busy_us.empty()
-                         ? 100.0 * servers.lane_busy_us.back() /
-                               servers.busy_us
-                         : 0.0;
-      shares.push_back(share);
-      std::printf(
-          "  RC%-12s C=%d: %7.2f ktxn/s  global-lane share %5.1f%%\n",
-          on ? "+shard-lane" : "", c, result.TxnsPerSecond() / 1000.0,
-          share);
-    }
-    batch_share_fig.series.emplace_back(on ? "RC+shard-lane" : "RC", shares);
+  std::vector<double> shares;
+  for (int c : cores_per_server) {
+    batch_share_fig.x.push_back(c);
+    YcsbRun run;
+    run.deployment = hat::cluster::DeploymentOptions::TwoRegions();
+    run.deployment.servers_per_cluster = 1;
+    run.deployment.server.shards_per_server = static_cast<size_t>(c);
+    run.deployment.server.cores_per_server = static_cast<size_t>(c);
+    run.client.isolation = hat::client::IsolationLevel::kReadCommitted;
+    run.workload = PaperYcsb();
+    run.num_clients = 30 * c * 2;
+    run.measure = (QuickBench() ? 1 : 2) * hat::sim::kSecond;
+    hat::server::ServerStats servers;
+    auto result = run.Execute(&servers);
+    double share = servers.busy_us > 0 && !servers.lane_busy_us.empty()
+                       ? 100.0 * servers.lane_busy_us.back() / servers.busy_us
+                       : 0.0;
+    shares.push_back(share);
+    std::printf("  RC C=%d: %7.2f ktxn/s  global-lane share %5.2f%%\n", c,
+                result.TxnsPerSecond() / 1000.0, share);
   }
+  batch_share_fig.series.emplace_back("RC+shard-lane", shares);
   batch_share_fig.Print(stdout, 1);
 
   int divergent = MultiShardConvergenceCheck();

@@ -14,8 +14,8 @@
 // servers_per_cluster — raising shards_per_server never moves keys between
 // servers), and the hosting server stores it in local shard
 // logical_shard / servers_per_cluster of its ShardedStore. The deployment
-// wires ServerOptions::shard_placement_stride so every server's local
-// routing agrees with this placement.
+// wires ServerOptions::shard_placement_stride and owned_logical_shards so
+// every server's local routing agrees with this placement.
 
 #ifndef HAT_CLUSTER_DEPLOYMENT_H_
 #define HAT_CLUSTER_DEPLOYMENT_H_

@@ -1,10 +1,9 @@
 // Epoch-versioned shard placement and the live-migration control plane.
 //
 // PlacementMap is the source of truth for logical-shard -> server
-// assignment inside each cluster copy. Epoch 0 reproduces the historical
-// implicit placement bit-for-bit — logical shard l lives on server slot
-// l % servers_per_cluster — so a deployment that never rebalances routes
-// exactly as before. Every reassignment bumps a single monotonically
+// assignment inside each cluster copy. Epoch 0 is the stride layout —
+// logical shard l lives on server slot l % servers_per_cluster — so a
+// deployment that never rebalances routes by pure key-hash arithmetic. Every reassignment bumps a single monotonically
 // increasing epoch; routers (clients via client::Routing, servers via
 // server::Partitioner) consult the live map, and a server that receives an
 // operation for a shard it no longer hosts answers kWrongShard so stale

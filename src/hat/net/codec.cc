@@ -67,8 +67,8 @@ static_assert(TagsUniqueAndNonzero(
 //
 // Visitor vocabulary:
 //   U32/U64  varint integer (counts, shard ids, timestamps)
-//   F32/F64  fixed-width integer (shard tags with sentinel, batch ids whose
-//            high bits hold the node id, digest hashes)
+//   F32/F64  fixed-width integer (batch shard tags at a fixed offset, batch
+//            ids whose high bits hold the node id, digest hashes)
 //   B        one validated byte (bool / uint8-backed enum), max legal value
 //   S        length-prefixed byte string
 //   Opt      optional<T>: presence byte + T
@@ -142,7 +142,7 @@ void VisitMessageFields(F& f, T& m) {
     // Header field order is load-bearing for GetAntiEntropyBatchView.
     f.F64(m.batch_id);  // high bits hold the node id — varint would bloat
     f.B(m.mode, 1);
-    f.F32(m.shard);  // kNoShardTag sentinel is ~0
+    f.F32(m.shard);
     f.Vec(m.writes);
   } else if constexpr (std::is_same_v<M, AntiEntropyAck>) {
     f.F64(m.batch_id);
@@ -154,8 +154,10 @@ void VisitMessageFields(F& f, T& m) {
   } else if constexpr (std::is_same_v<M, BucketDigest>) {
     f.U32(m.shard);
     f.Vec(m.hashes);
+  } else if constexpr (std::is_same_v<M, ShardHash>) {
+    f.U32(m.shard);
+    f.F64(m.hash);
   } else if constexpr (std::is_same_v<M, ShardDigest>) {
-    f.Vec(m.hashes);
     f.Vec(m.shards);
   } else if constexpr (std::is_same_v<M, LockRequest>) {
     f.S(m.key);

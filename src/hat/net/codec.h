@@ -208,7 +208,7 @@ bool GetWriteRecordView(std::string_view* in, WriteRecordView* out);
 struct AntiEntropyBatchView {
   uint64_t batch_id = 0;
   PutMode mode = PutMode::kEventual;
-  uint32_t shard = kNoShardTag;
+  uint32_t shard = 0;
   uint32_t nwrites = 0;
   std::string_view writes_raw;
 

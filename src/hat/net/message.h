@@ -102,44 +102,38 @@ struct NotifyRequest {
   NodeId sender = 0;
 };
 
-/// Sentinel for AntiEntropyBatch::shard: the batch is not shard-homogeneous
-/// (legacy per-peer outboxes) and its header/group-commit costs are charged
-/// to the global executor lane.
-inline constexpr uint32_t kNoShardTag = 0xffffffffu;
-
 /// Anti-entropy push of committed versions between replicas. Reliable via
 /// sender-side outbox retransmission until acked.
 struct AntiEntropyBatch {
   uint64_t batch_id = 0;
   std::vector<WriteRecord> writes;
   PutMode mode = PutMode::kEventual;
-  /// Logical shard every record in this batch belongs to, or kNoShardTag
-  /// when the batch is mixed (shard-lane batching off). Shard-homogeneous
-  /// batches let the receiver charge the batch header and the persistence
-  /// group commit to the owning shard's lane instead of the global lane.
-  uint32_t shard = kNoShardTag;
+  /// Logical shard every record in this batch belongs to. The receiver
+  /// charges the batch header and the persistence group commit to the lane
+  /// of the slot hosting it, or to the global lane if it hosts no such
+  /// shard.
+  uint32_t shard = 0;
 };
 struct AntiEntropyAck {
   uint64_t batch_id = 0;
 };
 
-/// Digest-based repair: the sender advertises its latest version per key;
-/// the receiver responds (via AntiEntropyBatch) with versions the sender is
-/// missing. Used to resynchronize after crashes/partitions independent of
-/// the push outboxes.
+/// Round 2 of digest-based repair: the sender advertises its latest version
+/// per key within some digest buckets of one shard; the receiver responds
+/// (via AntiEntropyBatch) with versions the sender is missing there. Used
+/// to resynchronize after crashes/partitions independent of the push
+/// outboxes.
 struct DigestRequest {
   std::vector<std::pair<Key, Timestamp>> latest;
   /// True on the initiating round: the receiver may answer with its own
   /// digest (reply=false) when it notices the initiator has data it lacks,
   /// so repair works in both directions without recursing further.
   bool reply_allowed = true;
-  /// Empty: `latest` covers the sender's whole keyspace (flat protocol).
-  /// Non-empty: the bucket-scoped round of sharded digest repair — `latest`
-  /// covers exactly the sender's keys in these digest buckets of `shard`,
-  /// and the receiver's answer is scoped to them too.
+  /// The digest buckets of `shard` that `latest` covers exactly; the
+  /// receiver's answer is scoped to them too. A request with no buckets
+  /// covers nothing and is ignored.
   std::vector<uint32_t> buckets;
-  /// Local shard the scoped request refers to. Meaningful only when
-  /// `buckets` is non-empty (flat digests span every shard).
+  /// Logical shard the request refers to.
   uint32_t shard = 0;
 };
 
@@ -151,23 +145,26 @@ struct DigestRequest {
 /// disagreed costs B hashes, not one digest entry per key.
 struct BucketDigest {
   std::vector<uint64_t> hashes;
-  /// Local shard these bucket hashes describe.
+  /// Logical shard these bucket hashes describe.
   uint32_t shard = 0;
 };
 
-/// Round 0 of sharded digest repair: one roll-up hash per local shard
-/// (ShardedStore::ShardHashes()). The receiver compares with its own shard
-/// summaries and answers with a BucketDigest for each mismatched shard —
-/// an in-sync tick costs S hashes total, and a diff confined to one shard
-/// ships bucket hashes for that shard only.
+/// One entry of a ShardDigest: a hosted logical shard and its roll-up hash
+/// (VersionedStore::TopHash()).
+struct ShardHash {
+  uint32_t shard = 0;
+  uint64_t hash = 0;
+};
+
+/// Round 0 of sharded digest repair: one roll-up hash per hosted logical
+/// shard. The receiver compares with its own shard summaries and answers
+/// with a BucketDigest for each mismatched shard it also hosts — an in-sync
+/// tick costs S hashes total, and a diff confined to one shard ships bucket
+/// hashes for that shard only. Naming shards by logical id keeps peers
+/// whose slot layouts diverged through live migration comparing the right
+/// shards.
 struct ShardDigest {
-  std::vector<uint64_t> hashes;
-  /// Shard tags parallel to `hashes`. Empty (the pre-migration wire format):
-  /// hashes[i] describes shard tag i — valid while both peers host the same
-  /// slot layout. Non-empty: hashes[i] describes logical shard shards[i],
-  /// so peers whose slot layouts diverged through live migration still
-  /// compare the right shards.
-  std::vector<uint32_t> shards;
+  std::vector<ShardHash> shards;
 };
 
 /// Kick-off of a live shard migration's bulk phase: the destination asks

@@ -10,32 +10,18 @@ namespace {
 constexpr size_t kAppliedBatchMemory = 4096;
 constexpr sim::Duration kMaxBackoff = 8 * sim::kSecond;
 
-using version::ShardedStore;
 using version::VersionedStore;
-
-/// Recomputes a peer's per-(shard, bucket) hashes from its flat per-key
-/// digest. Matches VersionedStore's incremental maintenance by construction
-/// (same entry hash, same XOR aggregation), so bucket-equal regions can be
-/// skipped. Shard/bucket membership is pure key hashing, so our store's
-/// topology buckets the peer's entries identically. Entries for shards we
-/// do not host (the peer raced a live migration) are skipped — only their
-/// owner can repair them.
-std::vector<std::vector<uint64_t>> BucketHashesOfDigest(
-    const ShardedStore& ours,
-    const std::vector<std::pair<Key, Timestamp>>& latest) {
-  std::vector<std::vector<uint64_t>> hashes(ours.shard_count());
-  for (size_t s = 0; s < ours.shard_count(); s++) {
-    hashes[s].assign(ours.shard(s).digest_buckets(), 0);
-  }
-  for (const auto& [key, ts] : latest) {
-    auto s = ours.TrySlotOfKey(key);
-    if (!s) continue;
-    hashes[*s][ours.shard(*s).BucketOf(key)] ^=
-        VersionedStore::DigestEntryHash(key, ts);
-  }
-  return hashes;
-}
 }  // namespace
+
+net::ShardDigest ShardDigestOf(const version::ShardedStore& store) {
+  net::ShardDigest digest;
+  for (size_t s = 0; s < store.shard_count(); s++) {
+    uint32_t tag = store.LogicalTagOfSlot(s);
+    if (tag == version::ShardedStore::kNoShard) continue;
+    digest.shards.push_back(net::ShardHash{tag, store.ShardTopHash(s)});
+  }
+  return digest;
+}
 
 AntiEntropyEngine::AntiEntropyEngine(sim::Simulation& sim, net::NodeId id,
                                      const Partitioner* partitioner,
@@ -67,12 +53,9 @@ void AntiEntropyEngine::Start() {
 void AntiEntropyEngine::Enqueue(const WriteRecord& w, net::PutMode mode,
                                 net::NodeId except, obs::TraceContext trace) {
   if (!options_.push_enabled) return;
-  // Shard-lane batching splits each peer's outbox by the key's logical
-  // shard so every flushed batch is shard-homogeneous (and tagged); with it
-  // off, every key lands in the peer's single (peer, kNoShardTag) outbox —
-  // the legacy topology, byte- and order-identical on the wire.
-  uint32_t tag = options_.shard_lane_batching ? good_.LogicalShardOfKey(w.key)
-                                              : net::kNoShardTag;
+  // Each peer's outbox is split by the key's logical shard, so every flushed
+  // batch is shard-homogeneous and tagged.
+  uint32_t tag = good_.LogicalShardOfKey(w.key);
   for (net::NodeId peer : partitioner_->ReplicasOf(w.key)) {
     if (peer == id_ || peer == except) continue;
     outbox_[OutboxKey{peer, tag}].push_back(OutboxItem{w, mode, trace});
@@ -164,30 +147,10 @@ void AntiEntropyEngine::DigestSyncTick() {
   if (!peers.empty()) {
     net::NodeId peer = peers[rng_.NextBelow(peers.size())];
     stats_.digest_ticks++;
-    if (options_.bucketed_digest) {
-      // Round 0: one roll-up hash per shard. A fully in-sync peer answers
-      // with silence; a diff confined to one shard pulls bucket hashes for
-      // that shard only. Explicit-placement stores tag each hash with its
-      // logical shard id so peers whose slot layouts diverged through live
-      // migration still compare the right shards (and detached slots drop
-      // out); implicit stores keep the untagged legacy format.
-      net::ShardDigest digest;
-      if (good_.explicit_placement()) {
-        for (size_t s = 0; s < good_.shard_count(); s++) {
-          uint32_t tag = good_.LogicalTagOfSlot(s);
-          if (tag == version::ShardedStore::kNoShard) continue;
-          digest.shards.push_back(tag);
-          digest.hashes.push_back(good_.ShardTopHash(s));
-        }
-      } else {
-        digest.hashes = good_.ShardHashes();
-      }
-      SendDigestMessage(peer, std::move(digest), /*entries=*/0);
-    } else {
-      net::DigestRequest digest;
-      digest.latest = good_.Digest();
-      SendDigestMessage(peer, std::move(digest), good_.KeyCount());
-    }
+    // Round 0: one roll-up hash per hosted logical shard. A fully in-sync
+    // peer answers with silence; a diff confined to one shard pulls bucket
+    // hashes for that shard only.
+    SendDigestMessage(peer, ShardDigestOf(good_), /*entries=*/0);
   }
   sim_.After(options_.digest_sync_interval, [this]() { DigestSyncTick(); });
 }
@@ -206,14 +169,12 @@ void AntiEntropyEngine::HandleShardDigest(const net::ShardDigest& digest,
   // before any of their bucket hashes are even serialized. Shards the
   // sender advertises but we do not host (live migration moved them) are
   // skipped — their owner repairs them.
-  for (size_t i = 0; i < digest.hashes.size(); i++) {
-    uint32_t tag = digest.shards.empty() ? static_cast<uint32_t>(i)
-                                         : digest.shards[i];
-    auto slot = good_.SlotOfLogical(tag);
+  for (const net::ShardHash& theirs : digest.shards) {
+    auto slot = good_.SlotOfLogical(theirs.shard);
     if (!slot) continue;
-    if (digest.hashes[i] == good_.ShardTopHash(*slot)) continue;
+    if (theirs.hash == good_.ShardTopHash(*slot)) continue;
     net::BucketDigest bd;
-    bd.shard = tag;
+    bd.shard = theirs.shard;
     bd.hashes = good_.shard(*slot).BucketHashes();
     SendDigestMessage(from, std::move(bd), /*entries=*/0);
   }
@@ -257,51 +218,36 @@ void AntiEntropyEngine::BackfillBucket(
 
 void AntiEntropyEngine::HandleDigest(const net::DigestRequest& req,
                                      net::NodeId from) {
-  // Send back every version the requester is missing, in bounded batches
+  // Send back every version the requester is missing in the request's
+  // (shard, buckets), in bounded batches tagged with that shard
   // (unacknowledged one-shot batches: the requester's next digest will
-  // re-trigger anything lost). Work is confined to the digest's buckets:
-  // (req.shard, req.buckets) for a scoped round-2 request; for a flat
-  // digest, the requester's per-shard bucket hashes are recomputed from its
-  // entries so in-sync buckets cost one comparison instead of a per-key
-  // walk.
-  const bool scoped = !req.buckets.empty();
-  std::optional<size_t> scoped_slot =
-      scoped ? good_.SlotOfLogical(req.shard) : std::optional<size_t>();
-  if (scoped && !scoped_slot) return;  // not hosted (topology or migration)
+  // re-trigger anything lost).
+  if (req.buckets.empty()) return;  // names no buckets: nothing to compare
+  auto slot = good_.SlotOfLogical(req.shard);
+  if (!slot) return;  // not hosted (topology or migration)
+  const VersionedStore& store = good_.shard(*slot);
+  std::vector<uint32_t> buckets;  // the requested buckets that exist here
+  std::vector<char> in_scope(store.digest_buckets(), 0);
+  for (uint32_t b : req.buckets) {
+    if (b >= in_scope.size()) continue;
+    buckets.push_back(b);
+    in_scope[b] = 1;
+  }
   std::map<Key, Timestamp> theirs;
   for (const auto& [k, ts] : req.latest) theirs.emplace(k, ts);
 
-  std::vector<std::pair<size_t, size_t>> mismatched;  // (slot, bucket)
-  if (scoped) {
-    for (uint32_t b : req.buckets) {
-      if (b < good_.shard(*scoped_slot).digest_buckets()) {
-        mismatched.emplace_back(*scoped_slot, b);
-      }
-    }
-  } else {
-    std::vector<std::vector<uint64_t>> their_hashes =
-        BucketHashesOfDigest(good_, req.latest);
-    for (size_t s = 0; s < good_.shard_count(); s++) {
-      for (size_t b = 0; b < good_.shard(s).digest_buckets(); b++) {
-        if (their_hashes[s][b] != good_.shard(s).BucketHash(b)) {
-          mismatched.emplace_back(s, b);
-        }
-      }
-    }
-  }
-
   net::AntiEntropyBatch batch;
   batch.batch_id = NextBatchId();
+  batch.shard = req.shard;
   size_t batch_bytes = 0;
-  auto flush = [this, from, &batch, &batch_bytes]() {
+  auto flush = [this, from, &req, &batch, &batch_bytes]() {
     if (batch.writes.empty()) return;
     stats_.records_out += batch.writes.size();
     stats_.batches_out++;
-    uint32_t tag = batch.shard;
     send_(from, std::move(batch), {});
     batch = net::AntiEntropyBatch();
     batch.batch_id = NextBatchId();
-    batch.shard = tag;
+    batch.shard = req.shard;
     batch_bytes = 0;
   };
   auto add = [this, &batch, &batch_bytes, &flush](const WriteRecord& w) {
@@ -313,67 +259,36 @@ void AntiEntropyEngine::HandleDigest(const net::DigestRequest& req,
       flush();
     }
   };
-  // Repair batches stay shard-homogeneous too when shard-lane batching is
-  // on: a scoped request already covers one shard; a flat walk flushes at
-  // each slot boundary so each batch carries one shard's tag.
-  if (options_.shard_lane_batching && scoped) batch.shard = req.shard;
-  std::optional<size_t> tag_slot;
-  for (const auto& [s, b] : mismatched) {
-    if (options_.shard_lane_batching && !scoped && tag_slot != s) {
-      flush();
-      tag_slot = s;
-      batch.shard = good_.LogicalTagOfSlot(s);
-    }
-    BackfillBucket(s, b, theirs, add);
-  }
+  for (uint32_t b : buckets) BackfillBucket(*slot, b, theirs, add);
   flush();
 
   // Reverse direction: if the requester advertises data we lack, answer
-  // with our own digest (one round only) so it pushes the difference back.
-  // Only entries in mismatched buckets can differ, so only they are probed.
-  if (req.reply_allowed) {
-    // Flat-bitmap scope test: the requester's (often large) entry list is
-    // probed once per entry, so the lookup must stay O(1).
-    std::vector<std::vector<char>> in_scope(good_.shard_count());
-    for (const auto& [s, b] : mismatched) {
-      if (in_scope[s].empty()) {
-        in_scope[s].assign(good_.shard(s).digest_buckets(), 0);
-      }
-      in_scope[s][b] = 1;
+  // with our own digest for the same (shard, buckets) (one round only) so
+  // it pushes the difference back.
+  if (!req.reply_allowed) return;
+  bool missing = false;
+  for (const auto& [k, ts] : req.latest) {
+    if (good_.TrySlotOfKey(k) != slot || !in_scope[store.BucketOf(k)]) {
+      continue;
     }
-    bool missing = false;
-    for (const auto& [k, ts] : req.latest) {
-      auto s = good_.TrySlotOfKey(k);
-      if (!s || in_scope[*s].empty() ||
-          !in_scope[*s][good_.shard(*s).BucketOf(k)]) {
-        continue;
-      }
-      auto ours = good_.shard(*s).LatestTimestamp(k);
-      if (!ours || *ours < ts) {
-        missing = true;
-        break;
-      }
-    }
-    if (missing) {
-      net::DigestRequest mine;
-      mine.reply_allowed = false;
-      if (scoped) {
-        // Stay scoped: our entries for the same (shard, buckets).
-        mine.shard = req.shard;
-        mine.buckets = req.buckets;
-        for (const auto& [s, b] : mismatched) {
-          good_.shard(s).ForEachLatestInBucket(
-              b, [&](const Key& key, const Timestamp& ts) {
-                mine.latest.emplace_back(key, ts);
-              });
-        }
-      } else {
-        mine.latest = good_.Digest();
-      }
-      size_t entries = mine.latest.size();
-      SendDigestMessage(from, std::move(mine), entries);
+    auto ours = store.LatestTimestamp(k);
+    if (!ours || *ours < ts) {
+      missing = true;
+      break;
     }
   }
+  if (!missing) return;
+  net::DigestRequest mine;
+  mine.reply_allowed = false;
+  mine.shard = req.shard;
+  mine.buckets = req.buckets;
+  for (uint32_t b : buckets) {
+    store.ForEachLatestInBucket(b, [&](const Key& key, const Timestamp& ts) {
+      mine.latest.emplace_back(key, ts);
+    });
+  }
+  size_t entries = mine.latest.size();
+  SendDigestMessage(from, std::move(mine), entries);
 }
 
 void AntiEntropyEngine::Clear() {

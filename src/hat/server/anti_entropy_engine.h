@@ -6,17 +6,18 @@
 //    exponential backoff, so partitions delay but never lose gossip.
 //    Receivers dedupe batches by id (bounded generational memory).
 //  * Digest pull — optionally, the engine periodically syncs with one random
-//    peer. The default protocol is *sharded + bucketed*, scoped tighter at
-//    each round: round 0 ships one roll-up hash per local shard
+//    peer. The protocol is *sharded + bucketed*, scoped tighter at each
+//    round: round 0 ships one roll-up hash per hosted logical shard
 //    (ShardDigest); the receiver answers with that shard's B bucket hashes
 //    for mismatched shards only (BucketDigest); the initiator replies with
-//    per-key digests for mismatched buckets only (scoped DigestRequest);
-//    the receiver back-fills just those keys from VersionsAfter. An in-sync
+//    per-key digests for mismatched buckets only (DigestRequest); the
+//    receiver back-fills just those keys from VersionsAfter. An in-sync
 //    tick therefore costs S hashes, and a diff confined to one shard never
-//    hashes or walks the cold shards. The flat per-key protocol remains
-//    available (Options::bucketed_digest = false) and its responder also
-//    uses the per-shard bucket hashes to skip matching regions of the
-//    keyspace.
+//    hashes or walks the cold shards.
+//
+// Push outboxes are keyed (peer, logical shard), so every push and repair
+// batch is shard-homogeneous and tagged with its shard: the receiver
+// charges its header and persistence group commit to that shard's lane.
 //
 // The engine owns no sockets and installs nothing itself: messages leave via
 // a SendFn callback and incoming records are handed to an InstallFn, so the
@@ -56,13 +57,16 @@ struct AntiEntropyStats {
   uint64_t dedupe_rotations = 0;
   /// Digest-sync rounds initiated.
   uint64_t digest_ticks = 0;
-  /// Per-key digest entries shipped (both directions we sent). The bucketed
-  /// protocol keeps this proportional to the diff; the flat protocol pays
-  /// one entry per key per tick.
+  /// Per-key digest entries shipped (both directions we sent); proportional
+  /// to the populations of mismatched buckets, not to the keyspace.
   uint64_t digest_entries_out = 0;
   /// Wire bytes of digest-protocol messages sent (hashes + entries).
   uint64_t digest_bytes_out = 0;
 };
+
+/// Round 0 of sharded digest repair for `store`: the roll-up hash of every
+/// hosted logical shard (detached slots drop out).
+net::ShardDigest ShardDigestOf(const version::ShardedStore& store);
 
 class AntiEntropyEngine {
  public:
@@ -79,21 +83,9 @@ class AntiEntropyEngine {
     /// Batches flush when either cap is hit, so a repair of few huge values
     /// cannot emit one enormous message.
     size_t batch_max_bytes = 64 * 1024;
-    /// Use the sharded bucketed digest protocol (round 0: per-shard roll-up
-    /// hashes; round 1: bucket hashes for mismatched shards; round 2:
-    /// per-key digests for mismatched buckets only). Defaults off at the
-    /// engine layer to preserve the legacy flat wire protocol for direct
-    /// users; ServerOptions turns it on for the replica data plane.
-    bool bucketed_digest = false;
     /// False disables the push outboxes entirely (Enqueue becomes a no-op
     /// and no flush timer runs) — used to exercise digest repair alone.
     bool push_enabled = true;
-    /// Key push outboxes by (peer, logical shard) instead of peer alone, so
-    /// every batch is shard-homogeneous and carries its shard tag — letting
-    /// the receiver charge the batch header and persistence group commit to
-    /// the owning shard's executor lane instead of the global lane. Off by
-    /// default: untagged batches keep the legacy wire format byte-identical.
-    bool shard_lane_batching = false;
   };
   /// Delivers a one-way message to a peer. The trace context is active only
   /// for first-transmission push batches seeded by a traced write (the
@@ -135,11 +127,10 @@ class AntiEntropyEngine {
     inflight_.erase(ack.batch_id);
   }
 
-  /// Answers a peer's digest with the versions it is missing, and — on the
-  /// initiating round — with our own digest when the peer has data we lack.
-  /// Scoped requests (req.buckets non-empty) are answered within those
-  /// buckets of req.shard only; flat requests use the peer's recomputed
-  /// per-shard bucket hashes to skip matching regions of the keyspace.
+  /// Round 2 of sharded repair: answers a peer's per-key digest for some
+  /// buckets of req.shard with the versions it is missing there, and — on
+  /// the initiating round — with our own digest for the same buckets when
+  /// the peer has data we lack. A request naming no buckets is ignored.
   void HandleDigest(const net::DigestRequest& req, net::NodeId from);
 
   /// Round 1 of sharded repair: compare the peer's bucket hashes for one
@@ -204,11 +195,8 @@ class AntiEntropyEngine {
     net::PutMode mode;
     obs::TraceContext trace;  // inactive unless the write was traced
   };
-  /// Outboxes are keyed (peer, logical shard tag). With shard_lane_batching
-  /// off every key maps to (peer, kNoShardTag) — one outbox per peer, the
-  /// legacy topology — so flush order, batch boundaries, and batch ids are
-  /// identical to the pre-tagging engine. With it on, each (peer, shard)
-  /// pair drains independently into shard-homogeneous tagged batches.
+  /// Outboxes are keyed (peer, logical shard): each pair drains
+  /// independently into shard-homogeneous tagged batches.
   using OutboxKey = std::pair<net::NodeId, uint32_t>;
   std::map<OutboxKey, std::deque<OutboxItem>> outbox_;
   struct InFlightBatch {

@@ -17,7 +17,6 @@ version::ShardedStore::Options ReplicaServer::StoreOptions(
   version::ShardedStore::Options store;
   store.shards = owned.empty() ? options_.shards_per_server : owned.size();
   store.digest_buckets = options_.digest_buckets;
-  store.stride = options_.shard_placement_stride;
   // The modulus is the cluster-wide L, not a function of how many slots
   // this server holds (a post-migration shape can own more or fewer).
   store.num_logical_shards =
@@ -54,8 +53,7 @@ ReplicaServer::ReplicaServer(sim::Simulation& sim, net::Network& net,
           AntiEntropyEngine::Options{
               options_.ae_flush_interval, options_.ae_retry_interval,
               options_.digest_sync_interval, options_.ae_batch_max,
-              options_.ae_batch_max_bytes, options_.ae_bucketed_digest,
-              options_.ae_push_enabled, options_.ae_shard_lane_batching},
+              options_.ae_batch_max_bytes, options_.ae_push_enabled},
           [this](net::NodeId to, Message m, obs::TraceContext t) {
             SendOneWay(to, std::move(m), t);
           },
@@ -103,8 +101,7 @@ ReplicaServer::ReplicaServer(sim::Simulation& sim, net::Network& net,
     if (manifest.ok() &&
         manifest->shards_per_server == options_.shards_per_server &&
         manifest->stride == options_.shard_placement_stride) {
-      if (!options_.owned_logical_shards.empty() &&
-          manifest->owned != options_.owned_logical_shards) {
+      if (manifest->owned != CurrentOwned()) {
         good_ = version::ShardedStore(StoreOptions(manifest->owned));
         for (size_t s = options_.shards_per_server;
              s < good_.shard_count(); s++) {
@@ -126,7 +123,6 @@ void ReplicaServer::EnsureLaneForSlot(size_t slot) {
 
 std::vector<uint32_t> ReplicaServer::CurrentOwned() const {
   std::vector<uint32_t> owned;
-  if (!good_.explicit_placement()) return owned;
   for (size_t s = 0; s < good_.shard_count(); s++) {
     uint32_t tag = good_.LogicalTagOfSlot(s);
     if (tag != version::ShardedStore::kNoShard) owned.push_back(tag);
@@ -254,21 +250,18 @@ const std::vector<ShardExecutor::Work>& ReplicaServer::PlanFor(
           },
           [&](const net::AntiEntropyBatch& batch) {
             // Batch overhead (and the group-commit WAL sync) lands on the
-            // owning shard's lane when the batch is shard-tagged (shard-lane
-            // batching: the whole batch IS that shard's work), and on the
-            // global lane otherwise — untagged batches can span shards, so
-            // their header is cross-shard coordination. Record application
-            // is charged to each record's owning shard either way; the
-            // accumulation is per *lane* (records of a shard this server no
-            // longer hosts are forwarding work on the global lane).
+            // lane of the shard the batch is tagged with (the whole batch IS
+            // that shard's work), and on the global lane when this server
+            // does not host that shard. Record application is charged to
+            // each record's owning shard; the accumulation is per *lane*
+            // (records of a shard this server no longer hosts are forwarding
+            // work on the global lane).
             double overhead = c.ae_batch_us + c.per_kb_us * kb;
             if (options_.durable) overhead += c.wal_sync_us;
             size_t overhead_lane = global;
-            if (batch.shard != net::kNoShardTag) {
-              if (auto slot = good_.SlotOfLogical(batch.shard)) {
-                overhead_lane = LaneOfSlot(*slot);
-                stats_.ae_shard_lane_batches++;
-              }
+            if (auto slot = good_.SlotOfLogical(batch.shard)) {
+              overhead_lane = LaneOfSlot(*slot);
+              stats_.ae_shard_lane_batches++;
             }
             add(overhead_lane, overhead);
             shard_cost_scratch_.assign(executor_.lane_count(), 0);
@@ -293,12 +286,9 @@ const std::vector<ShardExecutor::Work>& ReplicaServer::PlanFor(
           [&](const net::DigestRequest& digest) {
             double cost = c.ae_batch_us + c.per_kb_us * kb +
                           0.2 * static_cast<double>(digest.latest.size());
-            // Bucket-scoped requests walk (and back-fill from) one shard;
-            // flat digests span the whole store. digest.shard is a logical
-            // shard tag — resolve it to the hosting slot's lane.
-            std::optional<size_t> slot =
-                digest.buckets.empty() ? std::optional<size_t>()
-                                       : good_.SlotOfLogical(digest.shard);
+            // A request walks (and back-fills from) one shard. digest.shard
+            // is a logical shard tag — resolve it to the hosting slot's lane.
+            auto slot = good_.SlotOfLogical(digest.shard);
             add(slot ? LaneOfSlot(*slot) : global, cost);
           },
           [&](const net::BucketDigest& bd) {
@@ -310,7 +300,7 @@ const std::vector<ShardExecutor::Work>& ReplicaServer::PlanFor(
           },
           [&](const net::ShardDigest& sd) {
             add(global, c.ae_batch_us + c.per_kb_us * kb +
-                            0.02 * static_cast<double>(sd.hashes.size()));
+                            0.02 * static_cast<double>(sd.shards.size()));
           },
           [&](const net::ShardSnapshotRequest& req) {
             // Freezing the outgoing shard's version set is a full shard
@@ -712,9 +702,7 @@ void ReplicaServer::Crash() {
   // refill it even on a server with no durable storage, and routing (which
   // still points here) never strands the shard. The data itself is
   // restored by RecoverFromStorage or by anti-entropy.
-  std::vector<uint32_t> owned = CurrentOwned();
-  if (owned.empty()) owned = options_.owned_logical_shards;
-  good_ = version::ShardedStore(StoreOptions(std::move(owned)));
+  good_ = version::ShardedStore(StoreOptions(CurrentOwned()));
   mav_.Clear();
   anti_entropy_.Clear();
   locks_.Clear();
@@ -732,35 +720,14 @@ Status ReplicaServer::CheckpointStorage() {
   }
   uint64_t epoch = partitioner_ ? partitioner_->PlacementEpoch() : 0;
   // Checkpoints are keyed by *logical* shard id, matching PersistGood's
-  // keyspace. Explicit placement checkpoints the hosted tags; implicit
-  // placement hosts every logical shard, stride of them per slot.
+  // keyspace; each slot holds exactly one logical shard.
   std::vector<uint32_t> owned = CurrentOwned();
-  if (owned.empty()) {
-    owned.reserve(good_.num_logical_shards());
-    for (uint64_t l = 0; l < good_.num_logical_shards(); l++) {
-      owned.push_back(static_cast<uint32_t>(l));
-    }
-  }
-  size_t stride = good_.num_logical_shards() / good_.shard_count();
   for (uint32_t shard : owned) {
-    size_t slot;
-    if (good_.explicit_placement()) {
-      auto s = good_.SlotOfLogical(shard);
-      if (!s) continue;
-      slot = *s;
-    } else {
-      slot = stride == 0 ? 0 : shard / stride;
-    }
+    size_t slot = *good_.SlotOfLogical(shard);
     Status status = persistence_.CheckpointShard(
         shard, epoch,
-        [this, shard, slot](const std::function<void(const WriteRecord&)>&
-                                sink) {
-          // In explicit mode a slot holds exactly one logical shard and the
-          // filter never rejects; in implicit mode the slot interleaves
-          // `stride` logical shards and the filter splits them.
-          good_.shard(slot).ForEachVersion([&](const WriteRecord& w) {
-            if (good_.LogicalShardOfKey(w.key) == shard) sink(w);
-          });
+        [this, slot](const std::function<void(const WriteRecord&)>& sink) {
+          good_.shard(slot).ForEachVersion(sink);
         });
     if (!status.ok()) return status;
   }
@@ -806,7 +773,7 @@ Status ReplicaServer::RecoverFromStorage() {
     // reborn at 0 — lead the cluster's epoch; neither blocks replaying
     // data whose layout matches.)
     owned = manifest->owned;
-    if (!options_.owned_logical_shards.empty() && owned != CurrentOwned()) {
+    if (owned != CurrentOwned()) {
       good_ = version::ShardedStore(StoreOptions(owned));
       for (size_t s = 0; s < good_.shard_count(); s++) EnsureLaneForSlot(s);
     }

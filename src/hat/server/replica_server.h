@@ -36,8 +36,8 @@
 //
 // Service time runs on a ShardExecutor: each incoming message is classified
 // into a plan of (lane, cost) units — gets/puts to the owning shard's lane,
-// anti-entropy record application to each touched shard's lane, batch
-// overhead / locks / notifies / round-0 digests to the global lane — and
+// anti-entropy record application and batch overhead to the tagged
+// shard's lane, locks / notifies / round-0 digests to the global lane — and
 // the plan executes on ServerOptions::cores_per_server cores. Same-shard
 // work serializes, cross-shard work overlaps up to the core count, and
 // cores_per_server = 1 reproduces the old single-service-center model
@@ -80,15 +80,16 @@ struct ServerOptions {
   /// Shrink for small per-shard stores so a bucket exchange stops paying
   /// the full default. Replicas exchanging digests must agree.
   size_t digest_buckets = version::VersionedStore::kDefaultDigestBuckets;
-  /// Shard placement stride (ShardedStore::Options::stride). Deployments
-  /// set this to servers_per_cluster so server- and shard-level hash
-  /// placement compose; standalone servers leave it at 1.
+  /// Servers per cluster copy: the cluster holds shards_per_server x stride
+  /// logical shards. Deployments set this to servers_per_cluster so server-
+  /// and shard-level hash placement compose; standalone servers leave it
+  /// at 1.
   size_t shard_placement_stride = 1;
-  /// Explicit logical-shard ownership (size shards_per_server, one logical
-  /// shard id per local slot). Deployments fill it from the PlacementMap so
-  /// servers can detect keys they do not own (kWrongShard after a live
-  /// migration); empty keeps the historical implicit stride arithmetic,
-  /// under which every key is owned.
+  /// Logical-shard ownership (size shards_per_server, one logical shard id
+  /// per local slot). Deployments fill it from the PlacementMap so servers
+  /// can detect keys they do not own (kWrongShard after a live migration);
+  /// empty (standalone servers, stride 1) selects the identity layout, under
+  /// which every key is owned.
   std::vector<uint32_t> owned_logical_shards;
   /// Stop-and-wait resend timeout for migration snapshot chunks.
   sim::Duration migration_chunk_timeout = 500 * sim::kMillisecond;
@@ -115,10 +116,6 @@ struct ServerOptions {
   /// push outbox was lost to a crash. 0 disables (benchmarks use push-only
   /// anti-entropy).
   sim::Duration digest_sync_interval = 0;
-  /// Use the two-round bucketed digest protocol (round 1: B bucket hashes;
-  /// round 2: per-key digests for mismatched buckets only). False falls back
-  /// to the flat all-keys digest.
-  bool ae_bucketed_digest = true;
   /// False disables the anti-entropy push outboxes (writes propagate via
   /// digest repair only) — used by tests that exercise repair in isolation.
   bool ae_push_enabled = true;
@@ -129,14 +126,6 @@ struct ServerOptions {
   bool gc_stale_pending = true;
   /// Max writes per anti-entropy batch.
   size_t ae_batch_max = 64;
-  /// Key anti-entropy outboxes by (peer, logical shard): batches become
-  /// shard-homogeneous and carry a shard tag, so the receiving server
-  /// charges the batch header and the persistence group commit to the
-  /// owning shard's executor lane instead of the global lane — only
-  /// cross-shard control traffic (round-0 digests, locks, MAV notifies)
-  /// stays global. Off by default: untagged batches keep the legacy wire
-  /// format and lane charging byte-identical.
-  bool ae_shard_lane_batching = false;
   /// Garbage-collect old versions beyond this many per key (0 = unlimited).
   /// Old versions fold into a single base Put, preserving visible values
   /// (Section 5.1.2: "older versions can be asynchronously garbage
@@ -165,9 +154,9 @@ struct ServerStats {
   uint64_t ae_retransmits = 0;      ///< unacked batches re-sent (backoff)
   uint64_t ae_dupes_suppressed = 0; ///< retransmit dupes dropped by dedupe
   uint64_t ae_dedupe_rotations = 0; ///< applied-batch set generation flips
-  /// Shard-tagged anti-entropy batches whose header + group commit were
-  /// charged to the owning shard's lane (vs. the global lane) — the
-  /// amortization signal of shard-lane batching.
+  /// Anti-entropy batches whose header + group commit were charged to the
+  /// tagged shard's lane; the rest named a shard this server does not host
+  /// and were charged to the global lane.
   uint64_t ae_shard_lane_batches = 0;
   /// Client envelope batches executed, and the operations they carried
   /// (client_batch_ops / client_batches = achieved group-commit factor).
@@ -373,7 +362,7 @@ class ReplicaServer : public net::RpcNode {
 
   /// True when this server currently serves client operations on `key`: it
   /// owns the key's logical shard and the shard is not a migration staging
-  /// copy. Implicit-placement servers serve every key.
+  /// copy.
   bool ServesKey(const Key& key) const {
     auto slot = good_.TrySlotOfKey(key);
     return slot.has_value() && !migrator_.IsStagingSlot(*slot);
@@ -381,14 +370,13 @@ class ReplicaServer : public net::RpcNode {
   /// Grows the executor so `slot` (a freshly attached staging shard) has a
   /// lane.
   void EnsureLaneForSlot(size_t slot);
-  /// The logical shard tags the store currently hosts, in slot order
-  /// (empty for implicit-placement stores).
+  /// The logical shard tags the store currently hosts, in slot order.
   std::vector<uint32_t> CurrentOwned() const;
   /// Rewrites the durable placement manifest from the store's current
   /// ownership (no-op without a storage directory).
   void WriteManifestFromState();
   /// Builds the ShardedStore options for this server's configuration, with
-  /// `owned` as the explicit slot layout (empty = implicit).
+  /// `owned` as the slot layout (empty = the identity layout).
   version::ShardedStore::Options StoreOptions(
       std::vector<uint32_t> owned) const;
 

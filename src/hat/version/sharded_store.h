@@ -11,41 +11,33 @@
 // cold ones, recovery replay shards separately, and (next) shards run
 // concurrently.
 //
-// Shard-of-key uses the same FNV hash the cluster partitioner uses, via a
-// placement stride so server-level and shard-level hashing compose: with
-// L = shards x stride logical shards, a key's logical shard is
-// Fnv1a64(key) % L, and this store holds the local index (l / stride).
-// A cluster::Deployment sets stride = servers_per_cluster, which keeps the
-// *server* owning a key (l % stride == Fnv1a64(key) % stride) independent of
-// the shard count — raising shards_per_server never moves keys between
-// servers, it only splits them locally. Standalone stores use stride = 1
-// (plain Fnv1a64(key) % shards). Replicas of the same keys must agree on
-// both shard count and stride: shard identity is part of the digest-repair
-// wire protocol.
+// Every store has a slot -> logical-shard table. A key's logical shard is
+// Fnv1a64(key) % L, L = num_logical_shards() (the cluster partitioner's
+// modulus), and the key lives in the slot hosting that logical shard. A
+// cluster::Deployment hands server j of n the logical shards
+// {j, j + n, j + 2n, ...}, so the *server* owning a key (l % n) is
+// independent of the shard count — raising shards_per_server never moves
+// keys between servers, it only splits them locally. An empty
+// Options::logical_shards is the identity layout of a standalone store:
+// slot i hosts logical shard i, L = shards, and every key is owned.
+// Replicas of the same keys must agree on L: shard identity is part of the
+// digest-repair wire protocol.
 //
-// Two addressing modes:
-//
-//  * Implicit (Options::logical_shards empty, the historical behaviour):
-//    local slot of a key is (Fnv1a64(key) % L) / stride; every key is
-//    "owned". Attach/Detach are unavailable.
-//  * Explicit (logical_shards lists the logical shard id each slot hosts,
-//    the mode cluster::Deployment uses): slot-of-key is a lookup through
-//    the owned-logical-shard table, unowned keys are detectable
-//    (TrySlotOfKey/OwnsKey), and live shard migration can AttachShard a
-//    logical shard this server is receiving or DetachShard one it handed
-//    away. Slots are never renumbered: a detached slot stays as an empty
-//    placeholder so slot indices (and the executor lanes derived from
-//    them) remain stable for the server's lifetime. When the slot layout
-//    matches the epoch-0 stride pattern, slot-of-key resolves with the
-//    same arithmetic as implicit mode (one vector probe to confirm), so
-//    the non-migrated hot path stays O(1) with no hash-map lookup.
+// Keys of a logical shard this store does not host are detectable
+// (TrySlotOfKey/OwnsKey), and live shard migration can AttachShard a
+// logical shard this server is receiving or DetachShard one it handed
+// away. Slots are never renumbered: a detached slot stays as an empty
+// placeholder so slot indices (and the executor lanes derived from them)
+// remain stable for the server's lifetime. While the layout matches the
+// epoch-0 pattern {base + i*stride} (stride = L / shards), slot-of-key is
+// arithmetic (l / stride) confirmed by one vector probe, so the
+// non-migrated hot path stays O(1) with no hash-map lookup.
 
 #ifndef HAT_VERSION_SHARDED_STORE_H_
 #define HAT_VERSION_SHARDED_STORE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -63,17 +55,13 @@ class ShardedStore {
     size_t shards = 1;
     /// Digest buckets *per shard* (see VersionedStore).
     size_t digest_buckets = VersionedStore::kDefaultDigestBuckets;
-    /// Placement stride (see file comment); 1 for standalone stores,
-    /// servers_per_cluster under a Deployment.
-    size_t stride = 1;
-    /// Explicit mode: the logical shard id each local slot hosts (size must
-    /// equal `shards`). Empty selects implicit stride arithmetic.
+    /// The logical shard id each local slot hosts (size must equal
+    /// `shards`). Empty selects the identity layout: slot i hosts logical
+    /// shard i.
     std::vector<uint32_t> logical_shards;
     /// Logical shards per cluster copy (the key-hash modulus). 0 derives
-    /// shards x stride — correct for the epoch-0 layout, but a server
-    /// reopening at a post-migration shape (owned count != configured
-    /// shards_per_server) must pass the configured L explicitly: the
-    /// modulus is a cluster-wide constant, never a function of how many
+    /// `shards`, which the identity layout requires. A server must pass the
+    /// configured cluster-wide L: the modulus never depends on how many
     /// slots one server happens to host.
     size_t num_logical_shards = 0;
   };
@@ -91,36 +79,30 @@ class ShardedStore {
   VersionedStore& shard(size_t i) { return shards_[i]; }
   const VersionedStore& shard(size_t i) const { return shards_[i]; }
 
-  /// True when constructed with an explicit logical slot layout (the mode
-  /// deployments use; enables migration and unowned-key detection).
-  bool explicit_placement() const { return explicit_; }
-
-  /// Logical shards per cluster copy this store partitions against
-  /// (shards x stride at construction; fixed across Attach/Detach).
+  /// Logical shards per cluster copy this store partitions against (fixed
+  /// across Attach/Detach).
   uint64_t num_logical_shards() const { return modulus_; }
   /// The logical shard `key` hashes to: Fnv1a64(key) % num_logical_shards().
   /// Defined for every key, owned or not.
   uint32_t LogicalShardOfKey(const Key& key) const;
 
   /// Slot hosting `key`, or nullopt when this store does not own the key's
-  /// logical shard (explicit mode only; implicit stores own every key).
+  /// logical shard.
   std::optional<size_t> TrySlotOfKey(const Key& key) const;
   bool OwnsKey(const Key& key) const { return TrySlotOfKey(key).has_value(); }
 
-  /// Logical shard id slot `i` hosts — kNoShard for a detached slot. In
-  /// implicit mode the slot index doubles as the tag (replicas configured
-  /// identically agree on it, which is all the digest protocol needs).
-  uint32_t LogicalTagOfSlot(size_t i) const;
-  /// Slot hosting logical shard (or tag) `logical`, if any.
+  /// Logical shard id slot `i` hosts — kNoShard for a detached slot.
+  uint32_t LogicalTagOfSlot(size_t i) const { return slot_logical_[i]; }
+  /// Slot hosting logical shard `logical`, if any.
   std::optional<size_t> SlotOfLogical(uint32_t logical) const;
 
-  /// Explicit mode only: adds (or finds) a slot for `logical` and returns
-  /// its index. Used by shard migration to stage an incoming shard; the new
-  /// slot appends after all existing slots.
+  /// Adds (or finds) a slot for `logical` and returns its index. Used by
+  /// shard migration to stage an incoming shard; the new slot appends after
+  /// all existing slots.
   size_t AttachShard(uint32_t logical);
-  /// Explicit mode only: empties `logical`'s slot and unmaps it. The slot
-  /// itself remains (indices are stable); keys of that shard become
-  /// unowned. No-op if the shard is not hosted.
+  /// Empties `logical`'s slot and unmaps it. The slot itself remains
+  /// (indices are stable); keys of that shard become unowned. No-op if the
+  /// shard is not hosted.
   void DetachShard(uint32_t logical);
 
   /// One 64-bit roll-up hash per shard — round 0 of sharded digest repair
@@ -160,11 +142,6 @@ class ShardedStore {
   void ForEachVersionOf(const Key& key, Fn&& fn) const {
     ShardFor(key).ForEachVersionOf(key, std::forward<Fn>(fn));
   }
-  void ForEachVersionOf(
-      const Key& key,
-      const std::function<void(const WriteRecord&)>& fn) const {
-    ShardFor(key).ForEachVersionOf(key, fn);
-  }
   std::optional<Timestamp> NewestPutTimestamp(const Key& key) const {
     return ShardFor(key).NewestPutTimestamp(key);
   }
@@ -186,8 +163,7 @@ class ShardedStore {
 
   /// Range scan over keys in [lo, hi), streamed in ascending key order
   /// across all shards (results are merged; per-shard order alone would
-  /// interleave the hash-partitioned keyspaces). Template-callable hot path
-  /// with a std::function overload for fixed-signature callers.
+  /// interleave the hash-partitioned keyspaces).
   template <class Fn>
   void ScanVisit(const Key& lo, const Key& hi, std::optional<Timestamp> bound,
                  Fn&& fn) const {
@@ -196,9 +172,6 @@ class ShardedStore {
                            fn(key, std::move(rv));
                          });
   }
-  void ScanVisit(
-      const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-      const std::function<void(const Key&, ReadVersion)>& fn) const;
   /// ScanVisit variant that also reports each item's owning shard index —
   /// the merge knows it anyway, so per-shard attribution (e.g. charging
   /// scan service time per lane) costs no extra key hashing.
@@ -207,28 +180,18 @@ class ShardedStore {
                         std::optional<Timestamp> bound, Fn&& fn) const {
     ScanVisitShardedImpl(lo, hi, bound, fn);
   }
-  void ScanVisitSharded(
-      const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-      const std::function<void(size_t shard, const Key&, ReadVersion)>& fn)
-      const;
   std::vector<std::pair<Key, ReadVersion>> Scan(
       const Key& lo, const Key& hi,
       std::optional<Timestamp> bound = std::nullopt) const;
 
-  /// Flat (key, latest-ts) digest over every shard.
-  std::vector<std::pair<Key, Timestamp>> Digest() const;
   template <class Fn>
   void ForEachLatest(Fn&& fn) const {
     for (const VersionedStore& s : shards_) s.ForEachLatest(fn);
   }
-  void ForEachLatest(
-      const std::function<void(const Key&, const Timestamp&)>& fn) const;
   template <class Fn>
   void ForEachVersion(Fn&& fn) const {
     for (const VersionedStore& s : shards_) s.ForEachVersion(fn);
   }
-  void ForEachVersion(
-      const std::function<void(const WriteRecord&)>& fn) const;
 
   /// An arbitrary stored record (first non-empty shard), or nullptr.
   const WriteRecord* AnyRecord() const;
@@ -244,10 +207,6 @@ class ShardedStore {
   const VersionedStore& ShardFor(const Key& key) const {
     return shards_[ShardIndexOf(key)];
   }
-  /// True while the explicit slot layout still matches the epoch-0 stride
-  /// pattern, enabling arithmetic slot-of-key with one confirming probe.
-  bool StridePatternIntact() const { return stride_pattern_; }
-
   template <class Fn>
   void ScanVisitShardedImpl(const Key& lo, const Key& hi,
                             const std::optional<Timestamp>& bound,
@@ -293,14 +252,13 @@ class ShardedStore {
     }
   }
 
-  uint64_t stride_;
-  uint64_t modulus_;  // logical shards (shards x stride at construction)
+  uint64_t modulus_;  // logical shards per cluster copy
+  uint64_t stride_;   // modulus_ / slots at construction
   size_t digest_buckets_;
-  bool explicit_ = false;
-  bool stride_pattern_ = false;  // explicit layout == {base + i*stride}
+  bool stride_pattern_ = false;  // layout == {base + i*stride}
   std::vector<VersionedStore> shards_;
-  std::vector<uint32_t> slot_logical_;  // explicit: tag per slot (kNoShard ok)
-  std::unordered_map<uint32_t, size_t> slot_of_logical_;  // explicit only
+  std::vector<uint32_t> slot_logical_;  // tag per slot (kNoShard ok)
+  std::unordered_map<uint32_t, size_t> slot_of_logical_;
 };
 
 }  // namespace hat::version

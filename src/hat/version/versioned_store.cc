@@ -321,12 +321,6 @@ std::vector<std::pair<Key, ReadVersion>> VersionedStore::Scan(
   return out;
 }
 
-void VersionedStore::ScanVisit(
-    const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-    const std::function<void(const Key&, ReadVersion)>& fn) const {
-  ScanVisitImpl(lo, hi, bound, fn);
-}
-
 std::vector<WriteRecord> VersionedStore::VersionsAfter(
     const Key& key, const Timestamp& after) const {
   std::vector<WriteRecord> out;
@@ -348,11 +342,6 @@ std::vector<std::pair<Key, Timestamp>> VersionedStore::Digest() const {
   return out;
 }
 
-void VersionedStore::ForEachLatest(
-    const std::function<void(const Key&, const Timestamp&)>& fn) const {
-  ForEachLatestImpl(fn);
-}
-
 std::vector<uint64_t> VersionedStore::BucketHashes() const {
   std::vector<uint64_t> out;
   out.reserve(buckets_.size());
@@ -368,22 +357,6 @@ uint64_t VersionedStore::TopHash() const {
     h = (h ^ b.hash) * 0x100000001b3ull;
   }
   return h;
-}
-
-void VersionedStore::ForEachLatestInBucket(
-    size_t bucket,
-    const std::function<void(const Key&, const Timestamp&)>& fn) const {
-  ForEachLatestInBucketImpl(bucket, fn);
-}
-
-void VersionedStore::ForEachVersion(
-    const std::function<void(const WriteRecord&)>& fn) const {
-  ForEachVersionImpl(fn);
-}
-
-void VersionedStore::ForEachVersionOf(
-    const Key& key, const std::function<void(const WriteRecord&)>& fn) const {
-  ForEachVersionOfImpl(key, fn);
 }
 
 const WriteRecord* VersionedStore::AnyRecord() const {

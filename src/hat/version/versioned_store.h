@@ -47,16 +47,14 @@
 //    unchanged from the map-based layout: digest wire bytes are identical.
 //
 // The hottest visitors (ScanVisit, ForEachLatest, ForEachLatestInBucket,
-// ForEachVersion, ForEachVersionOf) are template-parameter callables so the
-// per-element call inlines; thin std::function overloads remain for callers
-// that need a fixed signature.
+// ForEachVersion, ForEachVersionOf) take the callable as a template
+// parameter so the per-element call inlines.
 
 #ifndef HAT_VERSION_VERSIONED_STORE_H_
 #define HAT_VERSION_VERSIONED_STORE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -135,18 +133,14 @@ class VersionedStore {
                  Fn&& fn) const {
     ScanVisitImpl(lo, hi, bound, fn);
   }
-  /// Thin type-erased wrapper for callers holding a std::function.
-  void ScanVisit(
-      const Key& lo, const Key& hi, std::optional<Timestamp> bound,
-      const std::function<void(const Key&, ReadVersion)>& fn) const;
 
   /// Versions of `key` with timestamp strictly greater than `after`; used by
   /// anti-entropy to ship missing versions.
   std::vector<WriteRecord> VersionsAfter(const Key& key,
                                          const Timestamp& after) const;
 
-  /// All (key, latest timestamp) pairs — the flat digest exchanged by
-  /// legacy anti-entropy.
+  /// All (key, latest timestamp) pairs, in key order (ForEachLatest,
+  /// materialized).
   std::vector<std::pair<Key, Timestamp>> Digest() const;
 
   /// Visitor form of Digest(): streams (key, latest timestamp) pairs without
@@ -155,8 +149,6 @@ class VersionedStore {
   void ForEachLatest(Fn&& fn) const {
     ForEachLatestImpl(fn);
   }
-  void ForEachLatest(
-      const std::function<void(const Key&, const Timestamp&)>& fn) const;
 
   /// Iterates every stored version in key order, ascending timestamp within
   /// a key (anti-entropy full sync, snapshot streaming, tests). The visited
@@ -166,8 +158,6 @@ class VersionedStore {
   void ForEachVersion(Fn&& fn) const {
     ForEachVersionImpl(fn);
   }
-  void ForEachVersion(
-      const std::function<void(const WriteRecord&)>& fn) const;
 
   /// Visitor form of Versions(): streams `key`'s versions in ascending
   /// timestamp order. Same scratch-reuse caveat as ForEachVersion.
@@ -175,8 +165,6 @@ class VersionedStore {
   void ForEachVersionOf(const Key& key, Fn&& fn) const {
     ForEachVersionOfImpl(key, fn);
   }
-  void ForEachVersionOf(
-      const Key& key, const std::function<void(const WriteRecord&)>& fn) const;
 
   /// An arbitrary stored record (the first in key order), or nullptr when
   /// the store is empty. Used to derive shard-wide facts (e.g. the
@@ -189,11 +177,6 @@ class VersionedStore {
 
   /// Number of digest buckets this store was constructed with.
   size_t digest_buckets() const { return buckets_.size(); }
-
-  /// Digest bucket a key belongs to among `buckets` (stable hash of the key
-  /// bytes). Exposed statically so a digest receiver can bucket a *peer's*
-  /// flat digest without owning a store.
-  static size_t DigestBucketOf(const Key& key, size_t buckets);
 
   /// Digest bucket a key belongs to in this store.
   size_t BucketOf(const Key& key) const {
@@ -221,19 +204,11 @@ class VersionedStore {
   void ForEachLatestInBucket(size_t bucket, Fn&& fn) const {
     ForEachLatestInBucketImpl(bucket, fn);
   }
-  void ForEachLatestInBucket(
-      size_t bucket,
-      const std::function<void(const Key&, const Timestamp&)>& fn) const;
 
   /// Number of keys currently hashed into `bucket`.
   size_t BucketKeyCount(size_t bucket) const {
     return buckets_[bucket].members.size();
   }
-
-  /// Hash contribution of one (key, latest-ts) digest entry; exposed so a
-  /// digest receiver can recompute a *peer's* bucket hashes from a flat
-  /// per-key digest and short-circuit matching buckets.
-  static uint64_t DigestEntryHash(const Key& key, const Timestamp& ts);
 
   // --------------------------------------------------------------------------
 
@@ -271,6 +246,12 @@ class VersionedStore {
   size_t ApproximateBytes() const { return approx_bytes_ + fold_bytes_; }
 
  private:
+  /// Digest bucket a key belongs to among `buckets` (stable hash of the key
+  /// bytes).
+  static size_t DigestBucketOf(const Key& key, size_t buckets);
+  /// Hash contribution of one (key, latest-ts) digest entry.
+  static uint64_t DigestEntryHash(const Key& key, const Timestamp& ts);
+
   /// One stored version: fixed-size, chains are contiguous vectors of these.
   /// The payload is [encoded sibs/deps meta][value bytes] in the arena;
   /// value_off > 0 iff sibling/dependency metadata is present.

@@ -43,6 +43,16 @@ class AntiEntropyTest : public ::testing::Test {
     return w;
   }
 
+  /// Shard 0's digest buckets holding `keys`: the scope of a round-2
+  /// request that advertises them.
+  std::vector<uint32_t> BucketsOf(std::initializer_list<Key> keys) {
+    std::set<uint32_t> buckets;
+    for (const Key& k : keys) {
+      buckets.insert(static_cast<uint32_t>(good_.shard(0).BucketOf(k)));
+    }
+    return std::vector<uint32_t>(buckets.begin(), buckets.end());
+  }
+
   std::vector<const net::AntiEntropyBatch*> SentBatches() {
     std::vector<const net::AntiEntropyBatch*> out;
     for (const auto& s : sent_) {
@@ -149,6 +159,7 @@ TEST_F(AntiEntropyTest, DigestAnswersOnlyMissingVersions) {
   // Peer advertises: same version of "a", older version of "b".
   net::DigestRequest req;
   req.latest = {{"a", {10, 7}}, {"b", {5, 7}}};
+  req.buckets = BucketsOf({"a", "b"});
   req.reply_allowed = true;
   engine_->HandleDigest(req, kPeer);
   auto batches = SentBatches();
@@ -165,6 +176,7 @@ TEST_F(AntiEntropyTest, DigestReverseRoundWhenInitiatorHasMore) {
   // (reply_allowed=false) so it pushes the difference back — one round only.
   net::DigestRequest req;
   req.latest = {{"z", {30, 7}}};
+  req.buckets = BucketsOf({"z"});
   req.reply_allowed = true;
   engine_->HandleDigest(req, kPeer);
   size_t digests = 0;
@@ -172,10 +184,29 @@ TEST_F(AntiEntropyTest, DigestReverseRoundWhenInitiatorHasMore) {
     if (const auto* d = std::get_if<net::DigestRequest>(&s.msg)) {
       EXPECT_FALSE(d->reply_allowed);
       EXPECT_EQ(s.to, kPeer);
+      EXPECT_EQ(d->buckets, req.buckets) << "the reverse round stays scoped";
       digests++;
     }
   }
   EXPECT_EQ(digests, 1u);
+}
+
+TEST_F(AntiEntropyTest, DigestRequestWithoutBucketsIsANoOp) {
+  MakeEngine();
+  good_.Apply(MakeWrite("a", 10));
+  // Entries that would pull a back-fill ("a" is older there) and a reverse
+  // digest ("z" is newer there) — but a request naming no buckets covers
+  // nothing, so neither may be sent.
+  net::DigestRequest req;
+  req.latest = {{"a", {5, 7}}, {"z", {30, 7}}};
+  req.reply_allowed = true;
+  engine_->HandleDigest(req, kPeer);
+  EXPECT_TRUE(SentBatches().empty()) << "no back-fill batch";
+  for (const auto& s : sent_) {
+    EXPECT_FALSE(std::holds_alternative<net::DigestRequest>(s.msg))
+        << "no reverse digest";
+  }
+  EXPECT_EQ(engine_->stats().records_out, 0u);
 }
 
 TEST_F(AntiEntropyTest, DigestSyncTickTargetsAPeerReplica) {
@@ -187,7 +218,7 @@ TEST_F(AntiEntropyTest, DigestSyncTickTargetsAPeerReplica) {
   sim_.RunUntil(sim::kSecond);
   size_t digests = 0;
   for (const auto& s : sent_) {
-    if (std::holds_alternative<net::DigestRequest>(s.msg)) {
+    if (std::holds_alternative<net::ShardDigest>(s.msg)) {
       EXPECT_NE(s.to, kSelf);
       digests++;
     }
@@ -208,7 +239,6 @@ TEST_F(AntiEntropyTest, DisabledPushNeverFlushes) {
 TEST_F(AntiEntropyTest, BucketedTickSendsShardHashesNotEntries) {
   AntiEntropyEngine::Options opts;
   opts.digest_sync_interval = 50 * sim::kMillisecond;
-  opts.bucketed_digest = true;
   MakeEngine(opts);
   engine_->Start();
   good_.Apply(MakeWrite("k", 10));
@@ -220,7 +250,8 @@ TEST_F(AntiEntropyTest, BucketedTickSendsShardHashesNotEntries) {
     EXPECT_FALSE(std::holds_alternative<net::BucketDigest>(s.msg))
         << "round 0 ships shard summaries, not bucket hashes";
     if (const auto* sd = std::get_if<net::ShardDigest>(&s.msg)) {
-      EXPECT_EQ(sd->hashes.size(), good_.shard_count());
+      ASSERT_EQ(sd->shards.size(), good_.shard_count());
+      EXPECT_EQ(sd->shards[0].shard, 0u) << "tagged with the logical shard";
       shard_digests++;
     }
   }
@@ -233,7 +264,7 @@ TEST_F(AntiEntropyTest, MatchingShardHashesEndTheProtocol) {
   MakeEngine();
   good_.Apply(MakeWrite("k", 10));
   // A peer with identical state sends identical shard summaries: silence.
-  engine_->HandleShardDigest(net::ShardDigest{good_.ShardHashes()}, kPeer);
+  engine_->HandleShardDigest(ShardDigestOf(good_), kPeer);
   EXPECT_TRUE(sent_.empty());
 }
 
@@ -250,12 +281,26 @@ TEST_F(AntiEntropyTest, MismatchedShardSummaryPullsItsBucketHashes) {
   MakeEngine();
   good_.Apply(MakeWrite("a", 10));
   version::ShardedStore peer;  // missing "a"
-  engine_->HandleShardDigest(net::ShardDigest{peer.ShardHashes()}, kPeer);
+  engine_->HandleShardDigest(ShardDigestOf(peer), kPeer);
   ASSERT_EQ(sent_.size(), 1u);
   const auto* bd = std::get_if<net::BucketDigest>(&sent_[0].msg);
   ASSERT_NE(bd, nullptr);
   EXPECT_EQ(bd->shard, 0u);
   EXPECT_EQ(bd->hashes, good_.shard(0).BucketHashes());
+}
+
+TEST_F(AntiEntropyTest, ShardDigestAnswersOnlyHostedMismatchedShards) {
+  MakeEngine();
+  good_.Apply(MakeWrite("a", 10));
+  // Logical shard 5 is not hosted here (a one-slot store hosts only 0);
+  // shard 0 is hosted and its hash disagrees.
+  net::ShardDigest digest;
+  digest.shards = {{5, 123}, {0, good_.ShardTopHash(0) + 1}};
+  engine_->HandleShardDigest(digest, kPeer);
+  ASSERT_EQ(sent_.size(), 1u);
+  const auto* bd = std::get_if<net::BucketDigest>(&sent_[0].msg);
+  ASSERT_NE(bd, nullptr);
+  EXPECT_EQ(bd->shard, 0u);
 }
 
 TEST_F(AntiEntropyTest, BucketDigestRepliesScopedToMismatchedBuckets) {
@@ -334,10 +379,14 @@ TEST_F(AntiEntropyTest, BucketedSyncTransmitsDiffNotDataset) {
   // Flat protocol ships one entry per key; bucketed ships only the
   // mismatched buckets' populations (~ diff x keys-per-bucket).
   EXPECT_LE(scoped.latest.size(), kKeys / 10);
+  net::DigestRequest all_keys;
+  good_.ForEachLatest([&all_keys](const Key& key, const Timestamp& ts) {
+    all_keys.latest.emplace_back(key, ts);
+  });
   EXPECT_LT(net::WireBytes(net::Message{scoped}) +
                 net::WireBytes(net::Message{net::BucketDigest{
                     peer.shard(0).BucketHashes()}}),
-            net::WireBytes(net::Message{net::DigestRequest{good_.Digest()}}));
+            net::WireBytes(net::Message{all_keys}));
 
   // Round 2 (as the peer's engine would run it): feed the scoped digest to
   // an engine owning the peer store; it must back-fill exactly the diff.
@@ -386,7 +435,7 @@ TEST(ShardedAntiEntropyTest, HotShardRepairShipsThatShardsHashesOnly) {
   constexpr size_t kKeys = 4000;
   sim::Simulation sim{1};
   FixedPartitioner partitioner{{1, 2}};
-  version::ShardedStore::Options store_opts{kShards, kBuckets, 1};
+  version::ShardedStore::Options store_opts{kShards, kBuckets};
   version::ShardedStore ours(store_opts);  // up to date
   version::ShardedStore peer(store_opts);  // stale replica
   for (size_t i = 0; i < kKeys; i++) {
@@ -433,7 +482,7 @@ TEST(ShardedAntiEntropyTest, HotShardRepairShipsThatShardsHashesOnly) {
       });
 
   // Round 0 (as the peer's tick would run): peer's shard summaries reach us.
-  ours_engine.HandleShardDigest(net::ShardDigest{peer.ShardHashes()}, 2);
+  ours_engine.HandleShardDigest(ShardDigestOf(peer), 2);
   // Round 1: exactly one BucketDigest — the hot shard's — crosses the wire.
   ASSERT_EQ(ours_sent.size(), 1u);
   const auto* bd = std::get_if<net::BucketDigest>(&ours_sent[0].msg);
@@ -486,7 +535,10 @@ TEST_F(AntiEntropyTest, DigestRepliesCappedByBytes) {
     w.value.assign(1024, 'x');
     good_.Apply(w);
   }
-  net::DigestRequest req;  // empty: the peer has nothing
+  net::DigestRequest req;  // every bucket, no entries: the peer has nothing
+  for (size_t b = 0; b < good_.shard(0).digest_buckets(); b++) {
+    req.buckets.push_back(static_cast<uint32_t>(b));
+  }
   engine_->HandleDigest(req, kPeer);
   auto batches = SentBatches();
   ASSERT_GE(batches.size(), 4u);
@@ -540,10 +592,9 @@ TEST_F(AntiEntropyTest, DedupeMemoryRotationsAreCountedAndKeepRecentIds) {
   EXPECT_EQ(engine_->stats().dupes_suppressed, 1u);
 }
 
-TEST_F(AntiEntropyTest, UntaggedDefaultKeepsLegacySinglePeerOutbox) {
-  // With shard_lane_batching off (default), batches carry no shard tag and
-  // writes for any key share one outbox per peer — the pre-tagging wire
-  // format and batch boundaries.
+TEST_F(AntiEntropyTest, SingleSlotStoreKeepsOnePeerOutboxTaggedZero) {
+  // A one-slot store hosts the single logical shard 0, so writes for any
+  // key share one outbox per peer and every batch is tagged 0.
   AntiEntropyEngine::Options opts;
   opts.batch_max = 64;
   MakeEngine(opts);
@@ -555,7 +606,7 @@ TEST_F(AntiEntropyTest, UntaggedDefaultKeepsLegacySinglePeerOutbox) {
   sim_.RunUntil(opts.flush_interval * 2);
   auto batches = SentBatches();
   ASSERT_EQ(batches.size(), 1u);  // one outbox, one flush, one peer
-  EXPECT_EQ(batches[0]->shard, net::kNoShardTag);
+  EXPECT_EQ(batches[0]->shard, 0u);
   EXPECT_EQ(batches[0]->writes.size(), 8u);
 }
 
@@ -563,10 +614,9 @@ TEST(ShardLaneBatchingTest, BatchesAreShardHomogeneousAndTagged) {
   constexpr size_t kShards = 4;
   sim::Simulation sim{1};
   FixedPartitioner partitioner{{1, 2}};
-  version::ShardedStore good(version::ShardedStore::Options{kShards, 8, 1});
+  version::ShardedStore good(version::ShardedStore::Options{kShards, 8});
   std::vector<Sent> sent;
   AntiEntropyEngine::Options opts;
-  opts.shard_lane_batching = true;
   AntiEntropyEngine engine(
       sim, 1, &partitioner, good, opts,
       [&sent](net::NodeId to, net::Message m, obs::TraceContext) {
@@ -588,7 +638,6 @@ TEST(ShardLaneBatchingTest, BatchesAreShardHomogeneousAndTagged) {
     const auto* b = std::get_if<net::AntiEntropyBatch>(&s.msg);
     if (b == nullptr) continue;
     batches++;
-    ASSERT_NE(b->shard, net::kNoShardTag);
     shards_seen.insert(b->shard);
     for (const auto& w : b->writes) {
       EXPECT_EQ(good.LogicalShardOfKey(w.key), b->shard)
@@ -605,11 +654,10 @@ TEST(ShardLaneBatchingTest, BatchesAreShardHomogeneousAndTagged) {
 TEST(ShardLaneBatchingTest, DroppedTaggedBatchRetransmitsSameShardAndDedupes) {
   sim::Simulation sim{1};
   FixedPartitioner partitioner{{1, 2}};
-  version::ShardedStore::Options store_opts{4, 8, 1};
+  version::ShardedStore::Options store_opts{4, 8};
   version::ShardedStore sender_store(store_opts);
   version::ShardedStore receiver_store(store_opts);
   AntiEntropyEngine::Options opts;
-  opts.shard_lane_batching = true;
   opts.flush_interval = 1 * sim::kMillisecond;
   opts.retry_interval = 100 * sim::kMillisecond;
   std::vector<Sent> sent;
@@ -642,7 +690,7 @@ TEST(ShardLaneBatchingTest, DroppedTaggedBatchRetransmitsSameShardAndDedupes) {
   }
   ASSERT_EQ(batches.size(), 1u);
   uint32_t tag = batches[0]->shard;
-  ASSERT_NE(tag, net::kNoShardTag);
+  EXPECT_EQ(tag, sender_store.LogicalShardOfKey("k"));
   // ... so the retry timer retransmits: same batch id, same shard tag —
   // the receiver charges the retry to the same executor lane.
   sim.RunUntil(250 * sim::kMillisecond);

@@ -143,8 +143,8 @@ void Fill(AntiEntropyBatch& m, Rng& rng) {
   m.batch_id = rng.NextUint64();
   m.writes = RandRecords(rng, 8);
   m.mode = rng.NextBool(0.3) ? PutMode::kMav : PutMode::kEventual;
-  m.shard = rng.NextBool(0.5) ? kNoShardTag
-                              : static_cast<uint32_t>(rng.NextBelow(64));
+  // Full 32-bit range: the tag is a fixed-width field.
+  m.shard = static_cast<uint32_t>(rng.NextUint64());
 }
 void Fill(AntiEntropyAck& m, Rng& rng) { m.batch_id = rng.NextUint64(); }
 void Fill(DigestRequest& m, Rng& rng) {
@@ -164,11 +164,9 @@ void Fill(BucketDigest& m, Rng& rng) {
 }
 void Fill(ShardDigest& m, Rng& rng) {
   size_t n = rng.NextBelow(17);
-  for (size_t i = 0; i < n; i++) m.hashes.push_back(rng.NextUint64());
-  if (rng.NextBool(0.5)) {
-    for (size_t i = 0; i < n; i++) {
-      m.shards.push_back(static_cast<uint32_t>(rng.NextBelow(256)));
-    }
+  for (size_t i = 0; i < n; i++) {
+    m.shards.push_back(ShardHash{static_cast<uint32_t>(rng.NextBelow(256)),
+                                 rng.NextUint64()});
   }
 }
 void Fill(LockRequest& m, Rng& rng) {

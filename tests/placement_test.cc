@@ -88,15 +88,16 @@ TEST(PlacementMapTest, SetOwnerBumpsEpochOncePerChange) {
 }
 
 // ---------------------------------------------------------------------------
-// Explicit-placement ShardedStore
+// ShardedStore slot layouts
 // ---------------------------------------------------------------------------
 
-ShardedStore ExplicitStore(std::vector<uint32_t> owned, size_t stride) {
+ShardedStore ExplicitStore(std::vector<uint32_t> owned,
+                           size_t num_logical_shards) {
   ShardedStore::Options opts;
   opts.shards = owned.size();
   opts.digest_buckets = 16;
-  opts.stride = stride;
   opts.logical_shards = std::move(owned);
+  opts.num_logical_shards = num_logical_shards;
   return ShardedStore(opts);
 }
 
@@ -117,10 +118,9 @@ Key KeyInShard(uint32_t want, uint64_t modulus, int salt = 0) {
 }
 
 TEST(ShardedStoreExplicitTest, SlotOfKeyMatchesImplicitArithmetic) {
-  // Explicit stride layout {1, 4, 7} (slot 1 of a 3-server cluster, 3
-  // shards/server) must address exactly like the implicit arithmetic.
-  ShardedStore store = ExplicitStore({1, 4, 7}, 3);
-  EXPECT_TRUE(store.explicit_placement());
+  // Stride layout {1, 4, 7} (slot 1 of a 3-server cluster, 3
+  // shards/server) must address by the arithmetic slot = l / 3.
+  ShardedStore store = ExplicitStore({1, 4, 7}, 9);
   EXPECT_EQ(store.num_logical_shards(), 9u);
   Rng rng(5);
   int owned_seen = 0;
@@ -131,7 +131,7 @@ TEST(ShardedStoreExplicitTest, SlotOfKeyMatchesImplicitArithmetic) {
     auto slot = store.TrySlotOfKey(key);
     if (logical % 3 == 1) {
       ASSERT_TRUE(slot.has_value()) << key;
-      EXPECT_EQ(*slot, logical / 3) << "implicit local index preserved";
+      EXPECT_EQ(*slot, logical / 3) << "stride local index";
       owned_seen++;
     } else {
       EXPECT_FALSE(slot.has_value()) << key;
@@ -141,7 +141,7 @@ TEST(ShardedStoreExplicitTest, SlotOfKeyMatchesImplicitArithmetic) {
 }
 
 TEST(ShardedStoreExplicitTest, AttachAndDetachKeepSlotIndicesStable) {
-  ShardedStore store = ExplicitStore({1, 4, 7}, 3);
+  ShardedStore store = ExplicitStore({1, 4, 7}, 9);
   // Attach logical shard 0 (migrating in from slot-0's server).
   size_t staged = store.AttachShard(0);
   EXPECT_EQ(staged, 3u) << "appended after existing slots";
@@ -165,18 +165,21 @@ TEST(ShardedStoreExplicitTest, AttachAndDetachKeepSlotIndicesStable) {
   EXPECT_EQ(store.shard_count(), 4u);
 }
 
-TEST(ShardedStoreExplicitTest, ImplicitModeOwnsEveryKey) {
+TEST(ShardedStoreExplicitTest, IdentityLayoutOwnsEveryKey) {
+  // No logical_shards: slot i hosts logical shard i of 4.
   ShardedStore::Options opts;
   opts.shards = 4;
-  opts.stride = 2;
   ShardedStore store(opts);
-  EXPECT_FALSE(store.explicit_placement());
+  EXPECT_EQ(store.num_logical_shards(), 4u);
+  for (size_t i = 0; i < 4; i++) {
+    EXPECT_EQ(store.LogicalTagOfSlot(i), i);
+    EXPECT_EQ(store.SlotOfLogical(static_cast<uint32_t>(i)), i);
+  }
   Rng rng(9);
   for (int i = 0; i < 1000; i++) {
     Key key = "k" + std::to_string(rng.NextUint64());
     EXPECT_TRUE(store.OwnsKey(key));
-    EXPECT_EQ(store.ShardIndexOf(key),
-              (Fnv1a64(key.data(), key.size()) % 8) / 2);
+    EXPECT_EQ(store.ShardIndexOf(key), Fnv1a64(key.data(), key.size()) % 4);
   }
 }
 

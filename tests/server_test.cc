@@ -602,7 +602,6 @@ TEST_F(ServerTest, ShardLaneBatchingChargesAeBatchesToShardLanes) {
   opts.servers_per_cluster = 2;
   opts.server.durable = false;
   opts.server.shards_per_server = 4;
-  opts.server.ae_shard_lane_batching = true;
   deployment_ = std::make_unique<Deployment>(*sim_, opts);
   net::NodeId probe_id = deployment_->network().topology().AddNode(
       {net::Region::kVirginia, 0, 999});

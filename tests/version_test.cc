@@ -476,7 +476,7 @@ TEST(BucketDigestTest, TopHashSummarizesTheStore) {
 // ----------------------------- sharded store -------------------------------
 
 TEST(ShardedStoreTest, RoutingPartitionsTheKeyspace) {
-  ShardedStore store(ShardedStore::Options{4, 64, 1});
+  ShardedStore store(ShardedStore::Options{4, 64});
   ASSERT_EQ(store.shard_count(), 4u);
   for (int i = 0; i < 400; i++) {
     store.Apply(Put("key" + std::to_string(i), "v", 1 + i));
@@ -495,23 +495,37 @@ TEST(ShardedStoreTest, RoutingPartitionsTheKeyspace) {
 }
 
 TEST(ShardedStoreTest, StrideComposesWithServerPlacement) {
-  // stride = servers-per-cluster: the local shard of a key must be
-  // (Fnv1a64 % (shards x stride)) / stride, and the server-level placement
-  // (Fnv1a64 % stride) must be untouched by the shard count.
+  // Server `base` of kStride (= servers-per-cluster) hosts the logical
+  // shards {base + i*stride}: the local shard of a key it owns must be
+  // (Fnv1a64 % (shards x stride)) / stride, and ownership must be exactly
+  // the server-level placement (Fnv1a64 % stride == base), untouched by
+  // the shard count.
   constexpr size_t kStride = 5, kShards = 3;
-  ShardedStore store(ShardedStore::Options{kShards, 64, kStride});
-  for (int i = 0; i < 300; i++) {
-    Key key = "key" + std::to_string(i);
-    uint64_t h = Fnv1a64(key.data(), key.size());
-    EXPECT_EQ(store.ShardIndexOf(key), (h % (kShards * kStride)) / kStride);
-    EXPECT_LT(store.ShardIndexOf(key), kShards);
+  for (uint32_t base = 0; base < kStride; base++) {
+    ShardedStore::Options opts{kShards, 64};
+    for (size_t i = 0; i < kShards; i++) {
+      opts.logical_shards.push_back(static_cast<uint32_t>(base + i * kStride));
+    }
+    opts.num_logical_shards = kShards * kStride;
+    ShardedStore store(opts);
+    for (int i = 0; i < 300; i++) {
+      Key key = "key" + std::to_string(i);
+      uint64_t h = Fnv1a64(key.data(), key.size());
+      ASSERT_EQ(store.OwnsKey(key), h % kStride == base) << key;
+      if (!store.OwnsKey(key)) continue;
+      EXPECT_EQ(store.ShardIndexOf(key), (h % (kShards * kStride)) / kStride);
+      EXPECT_LT(store.ShardIndexOf(key), kShards);
+    }
   }
 }
 
 TEST(ShardedStoreTest, MatchesFlatStoreOnShuffledWriteStream) {
-  // The sharded data plane is a pure re-partitioning: a ShardedStore and a
-  // flat VersionedStore fed the same shuffled write stream must agree on
-  // every fold, latest timestamp, and scan result.
+  // The sharded data plane is a pure re-partitioning: the three servers of
+  // a cluster, each a ShardedStore with the stride layout {base + i*3},
+  // fed the same shuffled write stream (routed to the owning server) as a
+  // flat VersionedStore must together agree with it on every fold, latest
+  // timestamp, and scan result.
+  constexpr uint32_t kServers = 3, kShards = 4;
   hat::Rng rng(2024);
   std::vector<WriteRecord> stream;
   for (int i = 0; i < 60; i++) {
@@ -528,15 +542,38 @@ TEST(ShardedStoreTest, MatchesFlatStoreOnShuffledWriteStream) {
       std::swap(stream[i], stream[rng.NextBelow(i + 1)]);
     }
     VersionedStore flat;
-    ShardedStore sharded(ShardedStore::Options{4, 32, 3});
+    std::vector<ShardedStore> servers;
+    for (uint32_t base = 0; base < kServers; base++) {
+      ShardedStore::Options opts{kShards, 32};
+      for (uint32_t i = 0; i < kShards; i++) {
+        opts.logical_shards.push_back(base + i * kServers);
+      }
+      opts.num_logical_shards = kShards * kServers;
+      servers.emplace_back(opts);
+    }
+    auto owner = [&servers](const Key& key) -> ShardedStore& {
+      for (ShardedStore& s : servers) {
+        if (s.OwnsKey(key)) return s;
+      }
+      ADD_FAILURE() << "no server owns " << key;
+      return servers[0];
+    };
     for (const auto& w : stream) {
       flat.Apply(w);
-      sharded.Apply(w);
+      owner(w.key).Apply(w);
     }
-    EXPECT_EQ(sharded.KeyCount(), flat.KeyCount());
-    EXPECT_EQ(sharded.VersionCount(), flat.VersionCount());
+    size_t keys = 0, versions = 0;
+    std::vector<std::pair<Key, ReadVersion>> sharded_scan;
+    for (const ShardedStore& s : servers) {
+      keys += s.KeyCount();
+      versions += s.VersionCount();
+      for (auto& item : s.Scan("", "\xff")) sharded_scan.push_back(item);
+    }
+    EXPECT_EQ(keys, flat.KeyCount());
+    EXPECT_EQ(versions, flat.VersionCount());
     for (int i = 0; i < 23; i++) {
       Key key = "key" + std::to_string(i);
+      const ShardedStore& sharded = owner(key);
       auto f = flat.Read(key);
       auto s = sharded.Read(key);
       EXPECT_EQ(s.found, f.found) << key;
@@ -544,8 +581,9 @@ TEST(ShardedStoreTest, MatchesFlatStoreOnShuffledWriteStream) {
       EXPECT_EQ(s.ts, f.ts) << key;
       EXPECT_EQ(sharded.LatestTimestamp(key), flat.LatestTimestamp(key));
     }
+    std::sort(sharded_scan.begin(), sharded_scan.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     auto flat_scan = flat.Scan("", "\xff");
-    auto sharded_scan = sharded.Scan("", "\xff");
     ASSERT_EQ(sharded_scan.size(), flat_scan.size());
     for (size_t i = 0; i < flat_scan.size(); i++) {
       EXPECT_EQ(sharded_scan[i].first, flat_scan[i].first) << i;
@@ -556,7 +594,7 @@ TEST(ShardedStoreTest, MatchesFlatStoreOnShuffledWriteStream) {
 }
 
 TEST(ShardedStoreTest, ScanMergesShardsInKeyOrder) {
-  ShardedStore store(ShardedStore::Options{4, 32, 1});
+  ShardedStore store(ShardedStore::Options{4, 32});
   for (int i = 0; i < 100; i++) {
     store.Apply(Put("key" + std::to_string(i), "v", 1 + i));
   }
@@ -572,8 +610,8 @@ TEST(ShardedStoreTest, ScanMergesShardsInKeyOrder) {
 }
 
 TEST(ShardedStoreTest, ShardHashesLocalizeADiff) {
-  ShardedStore a(ShardedStore::Options{4, 32, 1});
-  ShardedStore b(ShardedStore::Options{4, 32, 1});
+  ShardedStore a(ShardedStore::Options{4, 32});
+  ShardedStore b(ShardedStore::Options{4, 32});
   for (int i = 0; i < 200; i++) {
     auto w = Put("key" + std::to_string(i), "v", 5);
     a.Apply(w);
@@ -591,7 +629,7 @@ TEST(ShardedStoreTest, ShardHashesLocalizeADiff) {
 TEST(ShardedStoreTest, GcFrontiersAreShardLocal) {
   // GC on one shard's key must not disturb any other shard's version sets
   // or digest state.
-  ShardedStore store(ShardedStore::Options{3, 32, 1});
+  ShardedStore store(ShardedStore::Options{3, 32});
   for (int i = 0; i < 30; i++) {
     Key key = "key" + std::to_string(i);
     for (int v = 1; v <= 4; v++) {
