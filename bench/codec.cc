@@ -235,10 +235,11 @@ std::vector<net::Envelope> OneOfEach(Rng& rng) {
     m.items.push_back(std::move(item));
     msgs.emplace_back(std::move(m));
   }
-  {
+  for (bool reply : {false, true}) {
     net::NotifyRequest m;
     m.ts = Timestamp{11, 4, 0};
     m.sender = 6;
+    m.reply = reply;
     msgs.emplace_back(m);
   }
   {

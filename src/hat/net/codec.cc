@@ -138,6 +138,7 @@ void VisitMessageFields(F& f, T& m) {
   } else if constexpr (std::is_same_v<M, NotifyRequest>) {
     f.Sub(m.ts);
     f.U32(m.sender);
+    f.B(m.reply, 1);
   } else if constexpr (std::is_same_v<M, AntiEntropyBatch>) {
     // Header field order is load-bearing for GetAntiEntropyBatchView.
     f.F64(m.batch_id);  // high bits hold the node id — varint would bloat

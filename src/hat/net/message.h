@@ -100,6 +100,9 @@ struct ScanResponse {
 struct NotifyRequest {
   Timestamp ts;
   NodeId sender = 0;
+  /// Set on a promoted replica's answer to a late notify. A reply is never
+  /// answered, so two promoted replicas cannot bounce acks back and forth.
+  bool reply = false;
 };
 
 /// Anti-entropy push of committed versions between replicas. Reliable via

@@ -32,12 +32,6 @@ void MavCoordinator::Start() {
   sim_.After(offset, [this]() { RenotifyTick(); });
 }
 
-size_t MavCoordinator::PendingWriteCount() const {
-  size_t n = 0;
-  for (const auto& [ts, txn] : pending_txns_) n += txn.writes.size();
-  return n;
-}
-
 const WriteRecord* MavCoordinator::PendingVersion(const Key& key,
                                                   const Timestamp& ts) {
   auto by_key = pending_by_key_.find(key);
@@ -83,40 +77,38 @@ void MavCoordinator::Install(const WriteRecord& w, bool gossip,
   }
   if (trace.active() && !txn.trace.active()) txn.trace = trace;
   txn.writes.push_back(w);
+  pending_writes_++;
   if (!stale) persistence_.PersistPending(good_.LogicalShardOfKey(w.key), w);
   if (gossip) gossip_(w, origin, trace);
   MaybeAck(w.ts);
   MaybePromote(w.ts);
 }
 
-std::set<net::NodeId> MavCoordinator::AckSetFor(
-    const std::vector<Key>& sibs) const {
-  std::set<net::NodeId> out;
-  for (const auto& k : sibs) {
-    for (net::NodeId r : partitioner_->ReplicasOf(k)) out.insert(r);
-  }
-  return out;
-}
-
-std::vector<Key> MavCoordinator::LocalKeysOf(
-    const std::vector<Key>& sibs) const {
-  std::vector<Key> out;
-  for (const auto& k : sibs) {
-    auto replicas = partitioner_->ReplicasOf(k);
+void MavCoordinator::ResolvePlacement(PendingTxn& txn) const {
+  uint64_t epoch = partitioner_->PlacementEpoch();
+  if (txn.placement_epoch == epoch) return;
+  txn.placement_epoch = epoch;
+  txn.ack_set.clear();
+  txn.local_keys.clear();
+  for (const auto& k : txn.sibs) {
+    std::vector<net::NodeId> replicas = partitioner_->ReplicasOf(k);
     if (std::find(replicas.begin(), replicas.end(), id_) != replicas.end()) {
-      out.push_back(k);
+      txn.local_keys.push_back(k);
     }
+    txn.ack_set.insert(txn.ack_set.end(), replicas.begin(), replicas.end());
   }
-  return out;
+  std::sort(txn.ack_set.begin(), txn.ack_set.end());
+  txn.ack_set.erase(std::unique(txn.ack_set.begin(), txn.ack_set.end()),
+                    txn.ack_set.end());
 }
 
 void MavCoordinator::MaybeAck(const Timestamp& ts) {
   auto it = pending_txns_.find(ts);
   if (it == pending_txns_.end() || it->second.acked_by_self) return;
   PendingTxn& txn = it->second;
+  ResolvePlacement(txn);
   // Ack once every sibling key this server replicates has arrived.
-  std::vector<Key> local = LocalKeysOf(txn.sibs);
-  for (const auto& k : local) {
+  for (const auto& k : txn.local_keys) {
     bool have = false;
     for (const auto& w : txn.writes) {
       if (w.key == k) {
@@ -127,10 +119,11 @@ void MavCoordinator::MaybeAck(const Timestamp& ts) {
     if (!have) return;
   }
   txn.acked_by_self = true;
-  for (net::NodeId peer : AckSetFor(txn.sibs)) {
+  for (net::NodeId peer : txn.ack_set) {
     if (peer == id_) {
       txn.acks.insert(id_);
     } else {
+      stats_.acks_sent++;
       send_(peer, net::NotifyRequest{ts, id_}, txn.trace);
     }
   }
@@ -143,8 +136,11 @@ void MavCoordinator::HandleNotify(const net::NotifyRequest& req) {
     if (promoted_.count(req.ts)) {
       // We already promoted this transaction and dropped its ack state; the
       // sender is catching up after a partition — answer so it can promote.
-      if (req.sender != id_) {
-        send_(req.sender, net::NotifyRequest{req.ts, id_}, {});
+      // A reply is not answered: the sender of a reply has promoted too.
+      if (req.sender != id_ && !req.reply) {
+        stats_.notify_replies++;
+        send_(req.sender, net::NotifyRequest{req.ts, id_, /*reply=*/true},
+              {});
       }
       return;
     }
@@ -161,8 +157,8 @@ void MavCoordinator::MaybePromote(const Timestamp& ts) {
   auto it = pending_txns_.find(ts);
   if (it == pending_txns_.end()) return;
   PendingTxn& txn = it->second;
-  std::set<net::NodeId> expected = AckSetFor(txn.sibs);
-  for (net::NodeId n : expected) {
+  ResolvePlacement(txn);
+  for (net::NodeId n : txn.ack_set) {
     if (!txn.acks.count(n)) return;
   }
   // Pending-stable everywhere: reveal. (Keys of a shard detached mid-flight
@@ -194,6 +190,7 @@ void MavCoordinator::MaybePromote(const Timestamp& ts) {
     s.arg = txn.acks.size();
     tracer_->Record(s);
   }
+  pending_writes_ -= txn.writes.size();
   pending_txns_.erase(it);
   promoted_.insert(ts);
   promoted_fifo_.push_back(ts);
@@ -208,10 +205,12 @@ void MavCoordinator::RenotifyTick() {
   // still pending so a healed network eventually promotes them.
   for (auto& [ts, txn] : pending_txns_) {
     if (!txn.acked_by_self) continue;
-    for (net::NodeId peer : AckSetFor(txn.sibs)) {
+    ResolvePlacement(txn);
+    for (net::NodeId peer : txn.ack_set) {
       if (peer != id_ && !txn.acks.count(peer)) {
         // Renotifies are background retransmits, not part of any one txn's
         // critical path; they go untraced.
+        stats_.renotifies++;
         send_(peer, net::NotifyRequest{ts, id_}, {});
       }
     }
@@ -222,6 +221,7 @@ void MavCoordinator::RenotifyTick() {
 void MavCoordinator::Clear() {
   pending_by_key_.clear();
   pending_txns_.clear();
+  pending_writes_ = 0;
   early_acks_.clear();
   promoted_.clear();
   promoted_fifo_.clear();

@@ -7,7 +7,8 @@
 // has acked — pending-stable — the transaction's writes are revealed into
 // the good set atomically per replica. A renotify timer re-broadcasts acks
 // for still-pending transactions so partitions only delay, never prevent,
-// promotion.
+// promotion; a replica that already promoted answers such a late ack once,
+// with a reply that is itself never answered.
 //
 // The coordinator owns no network or disk: it reaches them through narrow
 // callbacks (send a message, gossip a write, GC a key's versions) plus
@@ -36,10 +37,16 @@
 namespace hat::server {
 
 struct MavStats {
-  uint64_t notifies = 0;
+  uint64_t notifies = 0;  ///< NOTIFYs received
   uint64_t promotions = 0;
   uint64_t stale_pending_dropped = 0;
   uint64_t gets_from_pending = 0;
+  // NOTIFYs sent, by path. Every reply answers one received non-reply
+  // notify, so summed over servers notify_replies <= acks_sent + renotifies
+  // (the MAV message budget).
+  uint64_t acks_sent = 0;       ///< first ack broadcast (MaybeAck)
+  uint64_t renotifies = 0;      ///< renotify-timer retransmits
+  uint64_t notify_replies = 0;  ///< answers to late notifies when promoted
 };
 
 class MavCoordinator {
@@ -91,8 +98,8 @@ class MavCoordinator {
   /// Exact pending version (key, ts), or nullptr. Counts a pending-read hit.
   const WriteRecord* PendingVersion(const Key& key, const Timestamp& ts);
 
-  /// Number of pending writes held (promotion-indexed count).
-  size_t PendingWriteCount() const;
+  /// Number of pending writes held (promotion-indexed count). O(1).
+  size_t PendingWriteCount() const { return pending_writes_; }
 
   /// Drops all volatile MAV state (crash). Stats survive.
   void Clear();
@@ -103,11 +110,9 @@ class MavCoordinator {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  /// Servers that must acknowledge a transaction before promotion: every
-  /// replica of every sibling key.
-  std::set<net::NodeId> AckSetFor(const std::vector<Key>& sibs) const;
-  /// Sibling keys of `sibs` that this server replicates.
-  std::vector<Key> LocalKeysOf(const std::vector<Key>& sibs) const;
+  struct PendingTxn;
+  /// Brings `txn`'s placement cache up to the partitioner's current epoch.
+  void ResolvePlacement(PendingTxn& txn) const;
   void MaybeAck(const Timestamp& ts);
   void MaybePromote(const Timestamp& ts);
   void RenotifyTick();
@@ -127,6 +132,7 @@ class MavCoordinator {
   // Pending, indexed two ways: by key (for required-bound reads) and by
   // transaction timestamp (for promotion).
   std::map<Key, std::map<Timestamp, WriteRecord>> pending_by_key_;
+  static constexpr uint64_t kUnresolved = ~uint64_t{0};
   struct PendingTxn {
     std::vector<WriteRecord> writes;  // this server's sibling writes
     std::vector<Key> sibs;            // full txn key set
@@ -134,13 +140,26 @@ class MavCoordinator {
     bool acked_by_self = false;       // we broadcast our ack already
     obs::TraceContext trace;          // set iff a traced install seeded it
     sim::SimTime installed_us = 0;    // first install time (ack-wait span)
+    // Placement cache, filled by ResolvePlacement in one ReplicasOf pass
+    // over `sibs` and valid only at `placement_epoch`: a live migration
+    // bumps the partitioner's epoch, and the next read recomputes both.
+    // A placement change under an unchanged epoch is not observed.
+    uint64_t placement_epoch = kUnresolved;
+    /// Servers that must ack before promotion: every replica of every
+    /// sibling key, sorted and deduplicated (the notify send order).
+    std::vector<net::NodeId> ack_set;
+    /// Sibling keys this server replicates; it acks once all have arrived.
+    std::vector<Key> local_keys;
   };
   std::map<Timestamp, PendingTxn> pending_txns_;
+  size_t pending_writes_ = 0;  // sum of writes.size() over pending_txns_
   // Acks that arrived before the first write of their transaction.
   std::map<Timestamp, std::set<net::NodeId>> early_acks_;
   // Transactions this server already promoted (bounded FIFO). A late ack
-  // for a promoted transaction is answered with our own ack so replicas
-  // that received the writes after a partition heal can still promote.
+  // for a promoted transaction is answered with our own ack, marked as a
+  // reply, so replicas that received the writes after a partition heal can
+  // still promote. A reply is never answered: two promoted replicas
+  // exchange at most one answer per late notify.
   std::set<Timestamp> promoted_;
   std::deque<Timestamp> promoted_fifo_;
 };

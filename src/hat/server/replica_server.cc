@@ -146,6 +146,9 @@ const ServerStats& ReplicaServer::stats() const {
   stats_.notifies = m.notifies;
   stats_.mav_promotions = m.promotions;
   stats_.stale_pending_dropped = m.stale_pending_dropped;
+  stats_.mav_acks_sent = m.acks_sent;
+  stats_.mav_renotifies = m.renotifies;
+  stats_.mav_notify_replies = m.notify_replies;
   const AntiEntropyStats& ae = anti_entropy_.stats();
   stats_.ae_batches_in = ae.batches_in;
   stats_.ae_records_in = ae.records_in;

@@ -167,6 +167,11 @@ struct ServerStats {
   uint64_t ae_digest_bytes_out = 0;    ///< digest-protocol wire bytes sent
   uint64_t mav_promotions = 0;
   uint64_t stale_pending_dropped = 0;
+  /// NOTIFYs sent, by path (see MavStats): the MAV message budget is
+  /// notifies <= 2 * (mav_acks_sent + mav_renotifies), summed over servers.
+  uint64_t mav_acks_sent = 0;
+  uint64_t mav_renotifies = 0;
+  uint64_t mav_notify_replies = 0;
   uint64_t locks_granted = 0;
   uint64_t locks_queued = 0;
   uint64_t lock_deaths = 0;  ///< wait-die aborts issued
@@ -229,6 +234,9 @@ struct ServerStats {
     v("ae_digest_bytes_out", &ServerStats::ae_digest_bytes_out);
     v("mav_promotions", &ServerStats::mav_promotions);
     v("stale_pending_dropped", &ServerStats::stale_pending_dropped);
+    v("mav_acks_sent", &ServerStats::mav_acks_sent);
+    v("mav_renotifies", &ServerStats::mav_renotifies);
+    v("mav_notify_replies", &ServerStats::mav_notify_replies);
     v("locks_granted", &ServerStats::locks_granted);
     v("locks_queued", &ServerStats::locks_queued);
     v("lock_deaths", &ServerStats::lock_deaths);
@@ -247,11 +255,11 @@ struct ServerStats {
   }
 };
 
-/// Completeness guard for VisitFields: 33 8-byte scalars + 2 vectors + 1
+/// Completeness guard for VisitFields: 36 8-byte scalars + 2 vectors + 1
 /// Histogram, with no padding between 8-byte-aligned members. A new field
 /// changes the size and trips this until VisitFields lists it.
 static_assert(sizeof(ServerStats) ==
-                  33 * sizeof(uint64_t) + 2 * sizeof(std::vector<double>) +
+                  36 * sizeof(uint64_t) + 2 * sizeof(std::vector<double>) +
                       sizeof(Histogram),
               "ServerStats changed: update ServerStats::VisitFields (and the "
               "field count here) so generic merge/registration stay complete");

@@ -138,6 +138,7 @@ void Fill(ScanResponse& m, Rng& rng) {
 void Fill(NotifyRequest& m, Rng& rng) {
   m.ts = RandTs(rng);
   m.sender = static_cast<NodeId>(rng.NextBelow(1 << 20));
+  m.reply = rng.NextBool(0.5);
 }
 void Fill(AntiEntropyBatch& m, Rng& rng) {
   m.batch_id = rng.NextUint64();
@@ -456,6 +457,21 @@ TEST(WireCodecTest, OutOfRangeEnumByteRejected) {
   payload[codec::kEnvelopeHeaderBytes] = 2;
   Envelope out;
   EXPECT_FALSE(codec::DecodeEnvelope(ReframePayload(payload), &out));
+}
+
+TEST(WireCodecTest, NonCanonicalNotifyReplyByteRejected) {
+  for (bool reply : {false, true}) {
+    Envelope env{1, 2, 0, false, NotifyRequest{{5, 6, 7}, 8, reply}, {}};
+    std::string payload = PayloadOf(EncodeToString(env));
+    // The reply flag is the last body byte: 0 or 1 decodes, 2 does not.
+    ASSERT_EQ(payload.back(), reply ? 1 : 0);
+    Envelope back;
+    ASSERT_TRUE(codec::DecodeEnvelope(ReframePayload(payload), &back));
+    EXPECT_EQ(std::get<NotifyRequest>(back.msg).reply, reply);
+    payload.back() = 2;
+    Envelope out;
+    EXPECT_FALSE(codec::DecodeEnvelope(ReframePayload(payload), &out));
+  }
 }
 
 TEST(WireCodecTest, TruncationFuzzNeverCrashes) {

@@ -113,6 +113,92 @@ TEST_F(MavCoordinatorTest, LateAckForPromotedTxnIsAnswered) {
   EXPECT_EQ(notifies_[0].second.sender, kSelf);
 }
 
+TEST_F(MavCoordinatorTest, ReplyPromotesPendingReplica) {
+  MakeCoordinator();
+  mav_->Install(MakeWrite("k", 10, {"k"}), /*gossip=*/true);
+  ASSERT_FALSE(good_.Contains("k", {10, 7}));
+  // A promoted peer's answer still counts as its ack.
+  mav_->HandleNotify(net::NotifyRequest{{10, 7}, kPeer, /*reply=*/true});
+  EXPECT_TRUE(good_.Contains("k", {10, 7}));
+}
+
+TEST_F(MavCoordinatorTest, EarlyReplyCountsTowardPromotion) {
+  MakeCoordinator();
+  mav_->HandleNotify(net::NotifyRequest{{10, 7}, kPeer, /*reply=*/true});
+  mav_->Install(MakeWrite("k", 10, {"k"}), /*gossip=*/true);
+  EXPECT_TRUE(good_.Contains("k", {10, 7}));
+}
+
+TEST_F(MavCoordinatorTest, ReplyToPromotedReplicaIsNotAnswered) {
+  MakeCoordinator();
+  mav_->Install(MakeWrite("k", 10, {"k"}), /*gossip=*/true);
+  mav_->HandleNotify(net::NotifyRequest{{10, 7}, kPeer});
+  ASSERT_TRUE(good_.Contains("k", {10, 7}));
+  notifies_.clear();
+  mav_->HandleNotify(net::NotifyRequest{{10, 7}, kPeer, /*reply=*/true});
+  EXPECT_TRUE(notifies_.empty());
+  EXPECT_EQ(mav_->stats().notify_replies, 0u);
+}
+
+TEST_F(MavCoordinatorTest, SendCountersSplitAcksFromRenotifies) {
+  MavCoordinator::Options opts;
+  opts.renotify_interval = 100 * sim::kMillisecond;
+  MakeCoordinator({kSelf, kPeer, 3}, opts);
+  mav_->Start();
+  mav_->Install(MakeWrite("k", 10, {"k"}), /*gossip=*/true);
+  EXPECT_EQ(mav_->stats().acks_sent, 2u);
+  EXPECT_EQ(mav_->stats().renotifies, 0u);
+  mav_->HandleNotify(net::NotifyRequest{{10, 7}, kPeer});
+  // Every tick renotifies only the replica still missing.
+  sim_.RunUntil(sim::kSecond);
+  EXPECT_EQ(mav_->stats().acks_sent, 2u);
+  EXPECT_GE(mav_->stats().renotifies, 9u);
+  EXPECT_EQ(notifies_.size(), 2u + mav_->stats().renotifies);
+  for (size_t i = 2; i < notifies_.size(); i++) {
+    EXPECT_EQ(notifies_[i].first, 3u);
+    EXPECT_FALSE(notifies_[i].second.reply);
+  }
+}
+
+TEST_F(MavCoordinatorTest, AckSetFollowsPlacementEpoch) {
+  MakeCoordinator();
+  mav_->Install(MakeWrite("k", 10, {"k"}), /*gossip=*/true);
+  ASSERT_EQ(notifies_.size(), 1u);
+  // Live migration moves the peer copy of "k" from kPeer to node 3.
+  partitioner_->SetReplicas("k", {kSelf, 3});
+  partitioner_->set_epoch(1);
+  // The old replica's ack no longer completes the set...
+  mav_->HandleNotify(net::NotifyRequest{{10, 7}, kPeer});
+  EXPECT_FALSE(good_.Contains("k", {10, 7}));
+  // ...the new replica's does.
+  mav_->HandleNotify(net::NotifyRequest{{10, 7}, 3});
+  EXPECT_TRUE(good_.Contains("k", {10, 7}));
+}
+
+TEST_F(MavCoordinatorTest, AckSetIsCachedWithinAnEpoch) {
+  MakeCoordinator();
+  mav_->Install(MakeWrite("k", 10, {"k"}), /*gossip=*/true);
+  // A placement change without an epoch bump is not observed: the ack set
+  // resolved at install time still applies.
+  partitioner_->SetReplicas("k", {kSelf, 3});
+  mav_->HandleNotify(net::NotifyRequest{{10, 7}, kPeer});
+  EXPECT_TRUE(good_.Contains("k", {10, 7}));
+}
+
+TEST_F(MavCoordinatorTest, RenotifyTargetsTheCurrentAckSet) {
+  MavCoordinator::Options opts;
+  opts.renotify_interval = 100 * sim::kMillisecond;
+  MakeCoordinator({kSelf, kPeer}, opts);
+  mav_->Start();
+  mav_->Install(MakeWrite("k", 10, {"k"}), /*gossip=*/true);
+  partitioner_->SetReplicas("k", {kSelf, 3});
+  partitioner_->set_epoch(1);
+  notifies_.clear();
+  sim_.RunUntil(50 * sim::kMillisecond);  // the first tick only
+  ASSERT_EQ(notifies_.size(), 1u);
+  EXPECT_EQ(notifies_[0].first, 3u);
+}
+
 TEST_F(MavCoordinatorTest, StalePendingDroppedButStillAcked) {
   MakeCoordinator();
   good_.Apply(MakeWrite("k", 50, {}));  // newer good version exists
@@ -158,6 +244,111 @@ TEST_F(MavCoordinatorTest, ClearDropsPendingState) {
   mav_->Clear();
   EXPECT_EQ(mav_->PendingWriteCount(), 0u);
   EXPECT_EQ(mav_->PendingVersion("k", {10, 7}), nullptr);
+}
+
+// Two coordinators wired back to back: each one's SendFn delivers to the
+// other's HandleNotify after a one-hop delay on a shared sim. Neither is
+// Started, so no renotify timer runs and the sim drains once the notify
+// exchange ends.
+class MavPairTest : public ::testing::Test {
+ protected:
+  static constexpr net::NodeId kA = 1;
+  static constexpr net::NodeId kB = 2;
+  static constexpr sim::Duration kHop = sim::kMillisecond;
+
+  struct Replica {
+    version::ShardedStore good;
+    PersistenceManager persistence{""};
+    std::unique_ptr<MavCoordinator> mav;
+  };
+  struct Sent {
+    net::NodeId from;
+    net::NodeId to;
+    net::NotifyRequest req;
+  };
+
+  MavPairTest() {
+    for (net::NodeId id : {kA, kB}) {
+      Replica& r = replica(id);
+      r.mav = std::make_unique<MavCoordinator>(
+          sim_, id, &partitioner_, r.good, r.persistence,
+          MavCoordinator::Options{},
+          [this, id](net::NodeId to, net::Message m, obs::TraceContext) {
+            auto req = std::get<net::NotifyRequest>(m);
+            sent_.push_back({id, to, req});
+            if (!deliver_) return;
+            sim_.After(kHop, [this, to, req]() {
+              replica(to).mav->HandleNotify(req);
+            });
+          },
+          [](const WriteRecord&, net::NodeId, obs::TraceContext) {},
+          [](const Key&) {});
+    }
+  }
+
+  Replica& replica(net::NodeId id) { return id == kA ? a_ : b_; }
+
+  /// Runs the sim for a bounded time: a notify exchange that never ends
+  /// fails the assertions below instead of hanging the test.
+  void Drain() { sim_.RunUntil(sim_.Now() + 10 * sim::kSecond); }
+
+  static WriteRecord Write() {
+    WriteRecord w;
+    w.key = "k";
+    w.value = "v";
+    w.ts = {10, 7};
+    w.sibs = {"k"};
+    return w;
+  }
+
+  sim::Simulation sim_{1};
+  FixedPartitioner partitioner_{{kA, kB}};
+  Replica a_;
+  Replica b_;
+  std::vector<Sent> sent_;
+  bool deliver_ = true;  // false: sends are recorded, then lost
+};
+
+TEST_F(MavPairTest, LateNotifyBetweenPromotedReplicasGetsOneReply) {
+  a_.mav->Install(Write(), /*gossip=*/false);
+  b_.mav->Install(Write(), /*gossip=*/false);
+  Drain();
+  ASSERT_TRUE(a_.good.Contains("k", {10, 7}));
+  ASSERT_TRUE(b_.good.Contains("k", {10, 7}));
+  ASSERT_EQ(sent_.size(), 2u);  // one ack each way
+  sent_.clear();
+
+  // A late (non-reply) notify from B, e.g. a renotify that crossed B's own
+  // promotion, reaches A after both have promoted.
+  a_.mav->HandleNotify(net::NotifyRequest{{10, 7}, kB});
+  Drain();
+  ASSERT_EQ(sent_.size(), 1u) << "a reply to a promoted replica was answered";
+  EXPECT_EQ(sent_[0].from, kA);
+  EXPECT_EQ(sent_[0].to, kB);
+  EXPECT_TRUE(sent_[0].req.reply);
+  EXPECT_EQ(a_.mav->stats().notify_replies, 1u);
+  EXPECT_EQ(b_.mav->stats().notify_replies, 0u);
+}
+
+TEST_F(MavPairTest, ReplyToRenotifyPromotesTheLaggingReplica) {
+  // A partition drops both first acks. A still promotes (B's ack reaches it
+  // by hand); B stays pending.
+  deliver_ = false;
+  a_.mav->Install(Write(), /*gossip=*/false);
+  a_.mav->HandleNotify(net::NotifyRequest{{10, 7}, kB});
+  b_.mav->Install(Write(), /*gossip=*/false);
+  ASSERT_TRUE(a_.good.Contains("k", {10, 7}));
+  ASSERT_FALSE(b_.good.Contains("k", {10, 7}));
+
+  // The partition heals; B's renotify reaches A, and A's reply promotes B.
+  deliver_ = true;
+  sent_.clear();
+  a_.mav->HandleNotify(net::NotifyRequest{{10, 7}, kB});
+  Drain();
+  EXPECT_TRUE(b_.good.Contains("k", {10, 7}));
+  ASSERT_EQ(sent_.size(), 1u);
+  EXPECT_EQ(sent_[0].to, kB);
+  EXPECT_TRUE(sent_[0].req.reply);
 }
 
 }  // namespace

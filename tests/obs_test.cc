@@ -73,11 +73,11 @@ TEST(MergeStatsTest, TwoKnownServerStatsSumFieldForField) {
 }
 
 TEST(MergeStatsTest, FieldCountsMatchTheStructs) {
-  // 33 scalars + 2 lane vectors + 1 histogram; ClientStats is 14 scalars.
+  // 36 scalars + 2 lane vectors + 1 histogram; ClientStats is 14 scalars.
   // The sizeof static_asserts next to each VisitFields enforce "every
   // field is listed"; this pins the expected census so a silent VisitFields
   // rewrite shows up here too.
-  EXPECT_EQ(CountStatsFields<server::ServerStats>(), 36u);
+  EXPECT_EQ(CountStatsFields<server::ServerStats>(), 39u);
   EXPECT_EQ(CountStatsFields<client::ClientStats>(), 14u);
 }
 
@@ -126,9 +126,9 @@ TEST(RegistryTest, AddStatsRegistersScalarsAndHistogramsSkipsVectors) {
   reg.AddStats<server::ServerStats>(
       "server.", {3, -1, "server"},
       [&stats]() -> const server::ServerStats& { return stats; });
-  // 33 scalar counters + 1 histogram; the two lane vectors are skipped
+  // 36 scalar counters + 1 histogram; the two lane vectors are skipped
   // (registered per lane by the deployment, where the lane label is known).
-  EXPECT_EQ(reg.size(), 34u);
+  EXPECT_EQ(reg.size(), 37u);
   stats.gets = 17;
   bool found = false;
   for (const auto& m : reg.metrics()) {
