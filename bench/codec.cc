@@ -5,11 +5,10 @@
 //   1. Encode / decode throughput (GB/s and Mmsgs/s) on the three envelope
 //      shapes that dominate wire traffic: AntiEntropyBatch (replication),
 //      ClientBatchRequest (group commit), ShardSnapshotChunk (migration).
-//      Decode is measured both owning (materialized Envelope) and zero-copy
-//      (frame views) where a view type exists.
+//      Decode is owning: it materializes a full Envelope.
 //   2. An allocation gate: the steady-state encode loop into a reused
-//      buffer, and the zero-copy decode loop, must perform ZERO heap
-//      allocations. Counted by overriding global operator new.
+//      buffer must perform ZERO heap allocations. Counted by overriding
+//      global operator new.
 //   3. A round-trip coverage gate: every Message alternative must encode,
 //      decode, and re-encode byte-exactly, and corrupted / truncated /
 //      overlong frames must be rejected without crashing.
@@ -173,7 +172,6 @@ LoopResult TimedLoop(size_t frame_bytes, double target_s, Body&& body) {
 struct Scenario {
   const char* name;
   net::Envelope env;
-  bool has_view;
 };
 
 // ---------------------------------------------------------------------------
@@ -434,20 +432,16 @@ int main() {
   hat::harness::Banner("Wire codec throughput (net::codec)");
   std::vector<Scenario> scenarios;
   scenarios.push_back(
-      {"AntiEntropyBatch 64x1KiB", MakeAntiEntropyEnvelope(rng, 64, 1024),
-       true});
+      {"AntiEntropyBatch 64x1KiB", MakeAntiEntropyEnvelope(rng, 64, 1024)});
   scenarios.push_back(
-      {"ClientBatchRequest 8 ops", MakeClientBatchEnvelope(rng, 8, 1024),
-       false});
-  scenarios.push_back(
-      {"ShardSnapshotChunk 128x1KiB",
-       MakeSnapshotChunkEnvelope(rng, 128, 1024), true});
+      {"ClientBatchRequest 8 ops", MakeClientBatchEnvelope(rng, 8, 1024)});
+  scenarios.push_back({"ShardSnapshotChunk 128x1KiB",
+                       MakeSnapshotChunkEnvelope(rng, 128, 1024)});
 
   hat::harness::FigureSeries gbps;
   gbps.title =
       "Codec throughput, GB/s (scenarios: 1=AntiEntropyBatch 64x1KiB, "
-      "2=ClientBatchRequest 8 ops, 3=ShardSnapshotChunk 128x1KiB; "
-      "decode_view is 0 where no view type exists)";
+      "2=ClientBatchRequest 8 ops, 3=ShardSnapshotChunk 128x1KiB)";
   gbps.x_label = "scenario";
   hat::harness::FigureSeries mmsgs;
   mmsgs.title = "Codec throughput, million envelopes/s (same scenarios)";
@@ -457,7 +451,7 @@ int main() {
     mmsgs.x.push_back(static_cast<double>(i + 1));
   }
 
-  std::vector<double> enc_gbps, dec_gbps, view_gbps, enc_mmsgs, dec_mmsgs;
+  std::vector<double> enc_gbps, dec_gbps, enc_mmsgs, dec_mmsgs;
   for (const Scenario& sc : scenarios) {
     const size_t frame_bytes = codec::EncodedFrameSize(sc.env);
 
@@ -485,57 +479,19 @@ int main() {
       sink += out.msg.index();
     });
 
-    // Zero-copy decode via frame views where the type has one; walks every
-    // record and touches key/value lengths. Must not allocate at all.
-    LoopResult view{};
-    if (sc.has_view) {
-      view = TimedLoop(frame_bytes, target_s, [&] {
-        std::string_view stream = frame;
-        std::string_view payload;
-        if (codec::ExtractFrame(&stream, &payload) !=
-            codec::FrameStatus::kOk) {
-          g_failures++;
-          return;
-        }
-        codec::PayloadHeader hdr;
-        bool ok;
-        auto touch = [&](const codec::WriteRecordView& w) {
-          sink += w.key.size() + w.value.size() + w.ts.seq;
-        };
-        if (std::holds_alternative<hat::net::AntiEntropyBatch>(sc.env.msg)) {
-          codec::AntiEntropyBatchView v;
-          ok = codec::GetAntiEntropyBatchView(payload, &hdr, &v) &&
-               v.ForEachWrite(touch);
-        } else {
-          codec::ShardSnapshotChunkView v;
-          ok = codec::GetShardSnapshotChunkView(payload, &hdr, &v) &&
-               v.ForEachWrite(touch);
-        }
-        if (!ok) g_failures++;
-      });
-      if (view.allocs != 0) {
-        g_failures++;
-        std::fprintf(stderr,
-                     "FAIL: zero-copy decode of %s performed %llu heap "
-                     "allocations (expected 0)\n",
-                     sc.name, static_cast<unsigned long long>(view.allocs));
-      }
-    }
     if (sink == 0xdeadbeef) std::printf(" ");  // defeat dead-code elimination
 
     std::printf(
         "%-28s frame=%6zu B  encode %6.2f GB/s (%5.2f Mmsg/s, 0 allocs)  "
-        "decode %6.2f GB/s  view %6.2f GB/s\n",
-        sc.name, frame_bytes, enc.gbps, enc.mmsgs, dec.gbps, view.gbps);
+        "decode %6.2f GB/s\n",
+        sc.name, frame_bytes, enc.gbps, enc.mmsgs, dec.gbps);
     enc_gbps.push_back(enc.gbps);
     dec_gbps.push_back(dec.gbps);
-    view_gbps.push_back(view.gbps);
     enc_mmsgs.push_back(enc.mmsgs);
     dec_mmsgs.push_back(dec.mmsgs);
   }
   gbps.series.emplace_back("encode", enc_gbps);
   gbps.series.emplace_back("decode_owning", dec_gbps);
-  gbps.series.emplace_back("decode_view", view_gbps);
   mmsgs.series.emplace_back("encode", enc_mmsgs);
   mmsgs.series.emplace_back("decode_owning", dec_mmsgs);
 

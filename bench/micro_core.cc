@@ -169,7 +169,7 @@ void BM_DeltaFoldUncached(benchmark::State& state) {
 BENCHMARK(BM_DeltaFoldUncached)->Arg(4)->Arg(32)->Arg(64)->Arg(256);
 
 /// Digest-bucket snapshot (round 1 of bucketed repair): constant work
-/// regardless of keyspace size, versus Digest()'s per-key walk.
+/// regardless of keyspace size.
 void BM_BucketHashes(benchmark::State& state) {
   version::VersionedStore store;
   for (uint64_t i = 0; i < static_cast<uint64_t>(state.range(0)); i++) {
@@ -184,21 +184,6 @@ void BM_BucketHashes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BucketHashes)->Arg(1000)->Arg(100000);
-
-void BM_FlatDigest(benchmark::State& state) {
-  version::VersionedStore store;
-  for (uint64_t i = 0; i < static_cast<uint64_t>(state.range(0)); i++) {
-    WriteRecord w;
-    w.key = "key" + std::to_string(i);
-    w.value = "value";
-    w.ts = {i + 1, 1};
-    store.Apply(w);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.Digest());
-  }
-}
-BENCHMARK(BM_FlatDigest)->Arg(1000)->Arg(100000);
 
 adya::History MakeHistory(int txns, int keys, uint64_t seed) {
   adya::HistoryBuilder b;

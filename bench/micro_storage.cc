@@ -153,7 +153,7 @@ void BM_RecoverFullHistory(benchmark::State& state) {
   for (auto _ : state) {
     replayed = 0;
     auto s = pm.Recover(
-        1, [&replayed](size_t, const WriteRecord&) { replayed++; },
+        {0}, [&replayed](size_t, const WriteRecord&) { replayed++; },
         [](size_t, const WriteRecord&) {});
     benchmark::DoNotOptimize(s);
   }
@@ -190,7 +190,7 @@ void BM_RecoverCheckpointTail(benchmark::State& state) {
   for (auto _ : state) {
     replayed = 0;
     auto s = pm.Recover(
-        1, [&replayed](size_t, const WriteRecord&) { replayed++; },
+        {0}, [&replayed](size_t, const WriteRecord&) { replayed++; },
         [](size_t, const WriteRecord&) {});
     benchmark::DoNotOptimize(s);
   }

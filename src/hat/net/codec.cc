@@ -96,8 +96,6 @@ void VisitMessageFields(F& f, T& m) {
     f.S(m.first);
     f.Sub(m.second);
   } else if constexpr (std::is_same_v<M, WriteRecord>) {
-    // Field order is load-bearing for the zero-copy path: GetWriteRecordView
-    // (below) parses this exact sequence without materializing.
     f.S(m.key);
     f.S(m.value);
     f.B(m.kind, 1);
@@ -140,7 +138,6 @@ void VisitMessageFields(F& f, T& m) {
     f.U32(m.sender);
     f.B(m.reply, 1);
   } else if constexpr (std::is_same_v<M, AntiEntropyBatch>) {
-    // Header field order is load-bearing for GetAntiEntropyBatchView.
     f.F64(m.batch_id);  // high bits hold the node id — varint would bloat
     f.B(m.mode, 1);
     f.F32(m.shard);
@@ -174,7 +171,6 @@ void VisitMessageFields(F& f, T& m) {
     f.F64(m.migration_id);
     f.U32(m.shard);
   } else if constexpr (std::is_same_v<M, ShardSnapshotChunk>) {
-    // Header field order is load-bearing for GetShardSnapshotChunkView.
     f.F64(m.migration_id);
     f.U32(m.shard);
     f.U32(m.seq);
@@ -406,6 +402,12 @@ bool DecodeBodyByTag(uint8_t tag, std::string_view* in, Message* out,
   return matched && ok;
 }
 
+/// Wire type tag of the active alternative.
+uint8_t MessageTag(const Message& msg) {
+  return std::visit(
+      [](const auto& m) { return TagOf<std::decay_t<decltype(m)>>(); }, msg);
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -424,12 +426,9 @@ size_t EncodedWriteRecordSize(const WriteRecord& w) {
   return sv.n;
 }
 
-uint8_t MessageTag(const Message& msg) {
-  return std::visit(
-      [](const auto& m) {
-        return TagOf<std::decay_t<decltype(m)>>();
-      },
-      msg);
+void EncodeWriteRecord(const WriteRecord& w, std::string* buf) {
+  EncodeVisitor ev{buf};
+  VisitMessageFields(ev, w);
 }
 
 void EncodeEnvelope(const Envelope& env, std::string* buf) {
@@ -527,126 +526,10 @@ bool DecodeEnvelope(std::string_view frame, Envelope* out) {
   return DecodePayload(payload, out);
 }
 
-// --------------------------------------------------------------------------
-// Zero-copy views
-// --------------------------------------------------------------------------
-
-bool WriteRecordView::GetTimestampWire(std::string_view* in, Timestamp* out) {
-  auto logical = GetVarint64(in);
-  if (!logical) return false;
-  auto client = GetVarint32(in);
-  if (!client) return false;
-  auto seq = GetVarint32(in);
-  if (!seq) return false;
-  out->logical = *logical;
-  out->client_id = *client;
-  out->seq = *seq;
-  return true;
-}
-
-bool GetWriteRecordView(std::string_view* in, WriteRecordView* out) {
-  // Mirrors VisitMessageFields(WriteRecord): key, value, kind, ts, sibs,
-  // deps — asserted equivalent to the owning decoder in codec_test.
-  auto key = GetLengthPrefixed(in);
-  if (!key) return false;
-  auto value = GetLengthPrefixed(in);
-  if (!value) return false;
-  if (in->empty()) return false;
-  const uint8_t kind = static_cast<uint8_t>(in->front());
-  if (kind > 1) return false;
-  in->remove_prefix(1);
-  Timestamp ts;
-  if (!WriteRecordView::GetTimestampWire(in, &ts)) return false;
-
-  auto nsibs = GetVarint32(in);
-  if (!nsibs || *nsibs > in->size()) return false;
-  const char* sibs_begin = in->data();
-  for (uint32_t i = 0; i < *nsibs; i++) {
-    if (!GetLengthPrefixed(in)) return false;
-  }
-  std::string_view sibs_raw(sibs_begin,
-                            static_cast<size_t>(in->data() - sibs_begin));
-
-  auto ndeps = GetVarint32(in);
-  if (!ndeps || *ndeps > in->size()) return false;
-  const char* deps_begin = in->data();
-  Timestamp dep_ts;
-  for (uint32_t i = 0; i < *ndeps; i++) {
-    if (!GetLengthPrefixed(in) ||
-        !WriteRecordView::GetTimestampWire(in, &dep_ts)) {
-      return false;
-    }
-  }
-  std::string_view deps_raw(deps_begin,
-                            static_cast<size_t>(in->data() - deps_begin));
-
-  out->key = *key;
-  out->value = *value;
-  out->kind = static_cast<WriteKind>(kind);
-  out->ts = ts;
-  out->nsibs = *nsibs;
-  out->ndeps = *ndeps;
-  out->sibs_raw = sibs_raw;
-  out->deps_raw = deps_raw;
-  return true;
-}
-
-WriteRecord WriteRecordView::ToOwned() const {
-  WriteRecord w;
-  w.key.assign(key.data(), key.size());
-  w.value.assign(value.data(), value.size());
-  w.kind = kind;
-  w.ts = ts;
-  w.sibs.reserve(nsibs);
-  ForEachSib([&w](std::string_view s) { w.sibs.emplace_back(s); });
-  w.deps.reserve(ndeps);
-  ForEachDep([&w](std::string_view k, const Timestamp& t) {
-    w.deps.push_back(Dependency{Key(k), t});
-  });
-  return w;
-}
-
-bool GetAntiEntropyBatchView(std::string_view payload, PayloadHeader* hdr,
-                             AntiEntropyBatchView* out) {
-  if (!GetPayloadHeader(&payload, hdr)) return false;
-  if (hdr->tag != TagOf<AntiEntropyBatch>()) return false;
-  if (payload.size() < 8 + 1 + 4) return false;
-  out->batch_id = DecodeFixed64(payload.data());
-  const uint8_t mode = static_cast<uint8_t>(payload[8]);
-  if (mode > 1) return false;
-  out->mode = static_cast<PutMode>(mode);
-  out->shard = DecodeFixed32(payload.data() + 9);
-  payload.remove_prefix(13);
-  auto count = GetVarint32(&payload);
-  if (!count || *count > payload.size()) return false;
-  out->nwrites = *count;
-  out->writes_raw = payload;
-  return true;
-}
-
-bool GetShardSnapshotChunkView(std::string_view payload, PayloadHeader* hdr,
-                               ShardSnapshotChunkView* out) {
-  if (!GetPayloadHeader(&payload, hdr)) return false;
-  if (hdr->tag != TagOf<ShardSnapshotChunk>()) return false;
-  if (payload.size() < 8) return false;
-  out->migration_id = DecodeFixed64(payload.data());
-  payload.remove_prefix(8);
-  auto shard = GetVarint32(&payload);
-  if (!shard) return false;
-  auto seq = GetVarint32(&payload);
-  if (!seq) return false;
-  if (payload.empty()) return false;
-  const uint8_t done = static_cast<uint8_t>(payload.front());
-  if (done > 1) return false;
-  payload.remove_prefix(1);
-  auto count = GetVarint32(&payload);
-  if (!count || *count > payload.size()) return false;
-  out->shard = *shard;
-  out->seq = *seq;
-  out->done = done != 0;
-  out->nwrites = *count;
-  out->writes_raw = payload;
-  return true;
+bool DecodeWriteRecord(std::string_view in, WriteRecord* out) {
+  DecodeVisitor dv{&in};
+  VisitMessageFields(dv, *out);
+  return dv.ok && in.empty();
 }
 
 }  // namespace hat::net::codec

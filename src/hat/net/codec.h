@@ -1,6 +1,7 @@
 // net::codec — the binary wire format for Envelope and every Message
-// alternative: the byte layer under the (future) socket transport, and the
-// single source of truth for WireBytes() byte accounting today.
+// alternative: the byte layer under the (future) socket transport, the
+// single source of truth for WireBytes() byte accounting, and the durable
+// WriteRecord format the PersistenceManager stores on disk.
 //
 // Frame layout (all integers little-endian):
 //
@@ -36,14 +37,15 @@
 //
 // Decode never trusts the input: truncated frames, bad CRCs, unknown tags,
 // out-of-range enum bytes, overlong varints, and trailing garbage are all
-// rejected (never a crash, never a partially-applied message). Two decode
-// flavours exist:
-//   - owning: DecodeEnvelope / DecodePayload materialize a full Envelope
-//     (strings copied) for handlers that outlive the receive buffer;
-//   - zero-copy: the *View structs slice string_views directly out of the
-//     frame for the record-carrying hot-path messages (anti-entropy batches,
-//     snapshot chunks), so applying a batch touches each key/value byte
-//     range in place without materializing std::strings.
+// rejected (never a crash, never a partially-applied message). There is one
+// decode flavour, the owning one: DecodeEnvelope / DecodePayload materialize
+// a full Envelope, and DecodeWriteRecord a full WriteRecord (strings copied,
+// so the result outlives the input buffer).
+//
+// A replicated write has one byte format, on the wire and on disk:
+// EncodeWriteRecord writes exactly the bytes a WriteRecord occupies inside
+// a message body (PutRequest, AntiEntropyBatch, ...), and DecodeWriteRecord
+// runs the same validating field-list decoder the message path uses.
 
 #ifndef HAT_NET_CODEC_H_
 #define HAT_NET_CODEC_H_
@@ -99,8 +101,9 @@ inline size_t EncodedFrameSize(const Envelope& env) {
 /// steady-state encode path allocates nothing.
 void EncodeEnvelope(const Envelope& env, std::string* buf);
 
-/// Wire type tag of the active alternative (for logging/tests).
-uint8_t MessageTag(const Message& msg);
+/// Appends the body encoding of one WriteRecord to *buf (no frame, no CRC):
+/// EncodedWriteRecordSize(w) bytes, the same bytes a batch body holds.
+void EncodeWriteRecord(const WriteRecord& w, std::string* buf);
 
 // --------------------------------------------------------------------------
 // Frame extraction (stream reassembly)
@@ -149,111 +152,10 @@ bool DecodePayload(std::string_view payload, Envelope* out);
 /// no trailing bytes). The inverse of EncodeEnvelope on an empty buffer.
 bool DecodeEnvelope(std::string_view frame, Envelope* out);
 
-// --------------------------------------------------------------------------
-// Zero-copy decode views
-// --------------------------------------------------------------------------
-
-/// A replicated write decoded in place: key/value/metadata are string_view
-/// slices of the frame buffer, valid only while that buffer lives. ToOwned()
-/// is the materializing fallback for handlers that outlive the buffer.
-struct WriteRecordView {
-  std::string_view key;
-  std::string_view value;
-  WriteKind kind = WriteKind::kPut;
-  Timestamp ts;
-  uint32_t nsibs = 0;
-  uint32_t ndeps = 0;
-  /// Raw encoded sibling-key / dependency regions; iterate via ForEach*.
-  std::string_view sibs_raw;
-  std::string_view deps_raw;
-
-  /// f(std::string_view sib_key); false only on a corrupt region (already
-  /// length-checked by GetWriteRecordView, so false is unreachable for
-  /// views it produced).
-  template <typename F>
-  bool ForEachSib(F&& f) const {
-    std::string_view in = sibs_raw;
-    for (uint32_t i = 0; i < nsibs; i++) {
-      auto s = GetLengthPrefixed(&in);
-      if (!s) return false;
-      f(*s);
-    }
-    return true;
-  }
-
-  /// f(std::string_view dep_key, const Timestamp& floor).
-  template <typename F>
-  bool ForEachDep(F&& f) const {
-    std::string_view in = deps_raw;
-    for (uint32_t i = 0; i < ndeps; i++) {
-      auto k = GetLengthPrefixed(&in);
-      Timestamp ts_i;
-      if (!k || !GetTimestampWire(&in, &ts_i)) return false;
-      f(*k, ts_i);
-    }
-    return true;
-  }
-
-  WriteRecord ToOwned() const;
-
-  /// Parses one Timestamp in body encoding (exposed for ForEachDep).
-  static bool GetTimestampWire(std::string_view* in, Timestamp* out);
-};
-
-/// Parses one encoded WriteRecord off the front of *in without copying.
-bool GetWriteRecordView(std::string_view* in, WriteRecordView* out);
-
-/// Zero-copy AntiEntropyBatch: header fields decoded, records left as a raw
-/// slice iterated record-by-record.
-struct AntiEntropyBatchView {
-  uint64_t batch_id = 0;
-  PutMode mode = PutMode::kEventual;
-  uint32_t shard = 0;
-  uint32_t nwrites = 0;
-  std::string_view writes_raw;
-
-  /// f(const WriteRecordView&). False if the record region is corrupt or
-  /// holds trailing bytes past the last record.
-  template <typename F>
-  bool ForEachWrite(F&& f) const {
-    std::string_view in = writes_raw;
-    WriteRecordView w;
-    for (uint32_t i = 0; i < nwrites; i++) {
-      if (!GetWriteRecordView(&in, &w)) return false;
-      f(w);
-    }
-    return in.empty();
-  }
-};
-
-/// Decodes a payload known (or hoped) to carry an AntiEntropyBatch. False
-/// if the tag names another alternative or the batch header is malformed.
-bool GetAntiEntropyBatchView(std::string_view payload, PayloadHeader* hdr,
-                             AntiEntropyBatchView* out);
-
-/// Zero-copy ShardSnapshotChunk (the bulk-migration stream).
-struct ShardSnapshotChunkView {
-  uint64_t migration_id = 0;
-  uint32_t shard = 0;
-  uint32_t seq = 0;
-  bool done = false;
-  uint32_t nwrites = 0;
-  std::string_view writes_raw;
-
-  template <typename F>
-  bool ForEachWrite(F&& f) const {
-    std::string_view in = writes_raw;
-    WriteRecordView w;
-    for (uint32_t i = 0; i < nwrites; i++) {
-      if (!GetWriteRecordView(&in, &w)) return false;
-      f(w);
-    }
-    return in.empty();
-  }
-};
-
-bool GetShardSnapshotChunkView(std::string_view payload, PayloadHeader* hdr,
-                               ShardSnapshotChunkView* out);
+/// Decodes exactly one WriteRecord from `in` (the EncodeWriteRecord bytes).
+/// False on any malformation, including bytes left over after the record;
+/// *out is then partially overwritten and must not be used.
+bool DecodeWriteRecord(std::string_view in, WriteRecord* out);
 
 }  // namespace hat::net::codec
 

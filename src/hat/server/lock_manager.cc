@@ -53,12 +53,9 @@ void LockManager::Acquire(const net::Envelope& env,
     return;
   }
 
-  // No-wait: any conflict aborts the requester immediately. Wait-die: the
-  // requester may wait only if it is older (smaller timestamp) than every
-  // conflicting transaction; otherwise it dies.
-  bool older_than_all = policy_ != LockPolicy::kNoWait &&
-                        req.txn < *conflicts.begin();
-  if (older_than_all) {
+  // Wait-die: the requester may wait only if it is older (smaller
+  // timestamp) than every conflicting transaction; otherwise it dies.
+  if (req.txn < *conflicts.begin()) {
     stats_.queued++;
     state.waiters.push_back(Waiter{req.txn, req.exclusive, env});
   } else {

@@ -1,8 +1,6 @@
 // LockManager: the strict two-phase-locking table of the Section 6.3
-// "locking" baseline, with a pluggable deadlock-avoidance policy: wait-die
-// (the default; older transactions queue, younger die) or no-wait (every
-// conflicting request aborts immediately — no queue, no hold-and-wait, at
-// the cost of more client retries under contention).
+// "locking" baseline, with wait-die deadlock avoidance: an older transaction
+// queues behind a conflicting lock, a younger one dies.
 //
 // The manager is a pure data structure over (key -> lock state): it holds no
 // network or simulation references. Decisions are delivered through a
@@ -27,15 +25,7 @@ namespace hat::server {
 struct LockStats {
   uint64_t granted = 0;
   uint64_t queued = 0;
-  uint64_t deaths = 0;  ///< wait-die / no-wait aborts issued
-};
-
-/// How a conflicting lock request is resolved.
-enum class LockPolicy : uint8_t {
-  /// Older (smaller-timestamp) requesters queue; younger ones abort.
-  kWaitDie = 0,
-  /// Every conflicting requester aborts immediately; nothing ever queues.
-  kNoWait = 1,
+  uint64_t deaths = 0;  ///< wait-die aborts issued
 };
 
 class LockManager {
@@ -43,9 +33,8 @@ class LockManager {
   using Responder =
       std::function<void(const net::Envelope&, const net::LockResponse&)>;
 
-  explicit LockManager(Responder responder,
-                       LockPolicy policy = LockPolicy::kWaitDie)
-      : responder_(std::move(responder)), policy_(policy) {}
+  explicit LockManager(Responder responder)
+      : responder_(std::move(responder)) {}
 
   /// Processes a lock request. Exactly one response is eventually issued per
   /// request: granted / must_abort now, or granted later when a queued
@@ -78,7 +67,6 @@ class LockManager {
   void GrantWaiters(const Key& key);
 
   Responder responder_;
-  LockPolicy policy_;
   LockStats stats_;
   std::map<Key, LockState> locks_;
 };

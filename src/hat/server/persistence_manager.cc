@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "hat/common/codec.h"
-#include "hat/version/wire.h"
+#include "hat/net/codec.h"
 
 namespace hat::server {
 
@@ -41,6 +41,17 @@ std::string ShardPrefixEnd(std::string_view kind, size_t shard) {
   end.back() = '0';
   return end;
 }
+
+/// Appends the per-version suffix of a record's storage key: one distinct
+/// key per (key, ts), grouped by key. Recovery never parses it (the stored
+/// record carries its own key and timestamp); replay order within a key
+/// does not matter because VersionedStore::Apply re-sorts.
+void AppendStorageKey(const WriteRecord& w, std::string* sk) {
+  PutLengthPrefixed(sk, w.key);
+  PutFixed64(sk, w.ts.logical);
+  PutFixed32(sk, w.ts.client_id);
+  PutFixed32(sk, w.ts.seq);
+}
 }  // namespace
 
 PersistenceManager::PersistenceManager(const std::string& dir) {
@@ -61,8 +72,10 @@ void PersistenceManager::Persist(std::string_view kind,
                                  size_t shard, const WriteRecord& w) {
   if (!disk_) return;
   std::string sk = CachedPrefix(prefixes, kind, shard);
-  sk += version::StorageKeyFor(w.key, w.ts);
-  (void)disk_->Put(sk, version::EncodeWriteRecord(w));
+  AppendStorageKey(w, &sk);
+  std::string value;
+  net::codec::EncodeWriteRecord(w, &value);
+  (void)disk_->Put(sk, value);
 }
 
 void PersistenceManager::PersistGood(size_t shard, const WriteRecord& w) {
@@ -92,7 +105,7 @@ void PersistenceManager::ErasePersistedPending(size_t shard,
                                                const WriteRecord& w) {
   if (!disk_) return;
   std::string sk = CachedPrefix(pending_prefixes_, kPendingKind, shard);
-  sk += version::StorageKeyFor(w.key, w.ts);
+  AppendStorageKey(w, &sk);
   (void)disk_->Delete(sk);
 }
 
@@ -189,11 +202,13 @@ Status PersistenceManager::CheckpointShard(
   for_each_live([&](const WriteRecord& w) {
     if (!write_status.ok()) return;
     std::string sk = cp_prefix;
-    sk += version::StorageKeyFor(w.key, w.ts);
+    AppendStorageKey(w, &sk);
     if (std::binary_search(stale.begin(), stale.end(), sk)) {
       survived.push_back(sk);
     }
-    write_status = disk_->Put(sk, version::EncodeWriteRecord(w));
+    std::string value;
+    net::codec::EncodeWriteRecord(w, &value);
+    write_status = disk_->Put(sk, value);
     records++;
   });
   HAT_RETURN_IF_ERROR(write_status);
@@ -244,62 +259,34 @@ Status PersistenceManager::RecoverShard(
     size_t shard, const std::function<void(const WriteRecord&)>& good,
     const std::function<void(const WriteRecord&)>& pending) {
   if (!disk_) return Status::Unsupported("server has no storage directory");
+  // Streams every record of one "<kind>/<shard>/" keyspace to `sink`,
+  // counting it in `*count`. A stored value that does not decode is
+  // skipped: one corrupt record must not block replay of the rest.
+  auto scan = [this, shard](std::string_view kind, uint64_t* count,
+                            auto&& sink) {
+    return disk_->Scan(ShardPrefix(kind, shard), ShardPrefixEnd(kind, shard),
+                       [count, &sink](std::string_view, std::string_view value) {
+                         WriteRecord w;
+                         if (!net::codec::DecodeWriteRecord(value, &w)) return;
+                         (*count)++;
+                         sink(std::move(w));
+                       });
+  };
   // Checkpoint snapshot first, then the good tail written since it. Both
   // feed the same `good` sink: version insertion is idempotent per
   // (key, ts), so overlap from a crash mid-checkpoint is harmless.
-  const std::string cp_prefix = ShardPrefix(kCheckpointKind, shard);
-  HAT_RETURN_IF_ERROR(disk_->Scan(
-      cp_prefix, ShardPrefixEnd(kCheckpointKind, shard),
-      [this, &good, &cp_prefix](std::string_view sk, std::string_view value) {
-        auto parsed = version::ParseStorageKey(sk.substr(cp_prefix.size()));
-        if (!parsed) return;
-        auto w = version::DecodeWriteRecord(parsed->first, value);
-        if (!w) return;
-        stats_.checkpoint_records++;
-        good(*w);
-      }));
-  const std::string good_prefix = ShardPrefix(kGoodKind, shard);
-  HAT_RETURN_IF_ERROR(disk_->Scan(
-      good_prefix, ShardPrefixEnd(kGoodKind, shard),
-      [this, &good, &good_prefix](std::string_view sk,
-                                  std::string_view value) {
-        auto parsed = version::ParseStorageKey(sk.substr(good_prefix.size()));
-        if (!parsed) return;
-        auto w = version::DecodeWriteRecord(parsed->first, value);
-        if (!w) return;
-        stats_.tail_records++;
-        good(*w);
-      }));
+  auto to_good = [&good](WriteRecord&& w) { good(w); };
+  HAT_RETURN_IF_ERROR(
+      scan(kCheckpointKind, &stats_.checkpoint_records, to_good));
+  HAT_RETURN_IF_ERROR(scan(kGoodKind, &stats_.tail_records, to_good));
   // Buffer pending records: the callback typically re-enters the MAV
   // pipeline, which persists (writes to this store) — illegal mid-scan.
-  const std::string pending_prefix = ShardPrefix(kPendingKind, shard);
   std::vector<WriteRecord> buffered;
-  HAT_RETURN_IF_ERROR(disk_->Scan(
-      pending_prefix, ShardPrefixEnd(kPendingKind, shard),
-      [&buffered, &pending_prefix](std::string_view sk,
-                                   std::string_view value) {
-        auto parsed =
-            version::ParseStorageKey(sk.substr(pending_prefix.size()));
-        if (!parsed) return;
-        auto w = version::DecodeWriteRecord(parsed->first, value);
-        if (w) buffered.push_back(std::move(*w));
-      }));
-  stats_.pending_records += buffered.size();
+  HAT_RETURN_IF_ERROR(scan(kPendingKind, &stats_.pending_records,
+                           [&buffered](WriteRecord&& w) {
+                             buffered.push_back(std::move(w));
+                           }));
   for (const auto& w : buffered) pending(w);
-  return Status::Ok();
-}
-
-Status PersistenceManager::Recover(
-    size_t shard_count,
-    const std::function<void(size_t shard, const WriteRecord&)>& good,
-    const std::function<void(size_t shard, const WriteRecord&)>& pending) {
-  if (!disk_) return Status::Unsupported("server has no storage directory");
-  stats_ = {};  // recover_stats() describes the most recent full recovery
-  for (size_t s = 0; s < shard_count; s++) {
-    HAT_RETURN_IF_ERROR(RecoverShard(
-        s, [&good, s](const WriteRecord& w) { good(s, w); },
-        [&pending, s](const WriteRecord& w) { pending(s, w); }));
-  }
   return Status::Ok();
 }
 

@@ -4,7 +4,10 @@
 // under distinct per-shard keyspace prefixes in a hat::storage::LocalStore
 // ("g/<shard>/..." and "p/<shard>/..."), so a crashed replica can rebuild
 // both its visible state and its in-flight Appendix B pipeline from disk —
-// shard by shard, replaying only the shards the server hosts. The shard
+// shard by shard, replaying only the shards the server hosts. Each stored
+// value is the record in net::codec's WriteRecord encoding, the same bytes
+// it occupies in a message body, so disk and wire share one validating
+// decoder. The shard
 // component of the keyspace is the *logical* shard id (stable across live
 // migration and independent of local slot numbering), and a manifest
 // records the layout the keyspace was written under
@@ -148,19 +151,15 @@ class PersistenceManager {
   /// callback must NOT write back to this store), then its pending versions
   /// are streamed to `pending` in storage-key order. Pending callbacks run
   /// after the scans complete, so they may persist again (the MAV pipeline
-  /// re-persists re-entering writes).
+  /// re-persists re-entering writes). A stored value that does not decode
+  /// as a WriteRecord is skipped and the rest still replay.
   Status RecoverShard(size_t shard,
                       const std::function<void(const WriteRecord&)>& good,
                       const std::function<void(const WriteRecord&)>& pending);
 
-  /// Replays shards [0, shard_count): RecoverShard per shard, callbacks
-  /// receiving the shard index each record was persisted under.
-  Status Recover(
-      size_t shard_count,
-      const std::function<void(size_t shard, const WriteRecord&)>& good,
-      const std::function<void(size_t shard, const WriteRecord&)>& pending);
-
-  /// Replays exactly the listed logical shards (the manifest's owned set).
+  /// Replays exactly the listed logical shards (the manifest's owned set):
+  /// RecoverShard per shard, callbacks receiving the shard each record was
+  /// persisted under.
   Status Recover(
       const std::vector<uint32_t>& shards,
       const std::function<void(size_t shard, const WriteRecord&)>& good,

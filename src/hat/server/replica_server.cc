@@ -5,8 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "hat/version/wire.h"
-
 namespace hat::server {
 
 using net::Envelope;
@@ -64,8 +62,7 @@ ReplicaServer::ReplicaServer(sim::Simulation& sim, net::Network& net,
       locks_(
           [this](const Envelope& env, const net::LockResponse& resp) {
             Reply(env, resp);
-          },
-          options_.lock_policy),
+          }),
       migrator_(
           sim_, good_,
           ShardMigrator::Options{options_.ae_batch_max,
@@ -634,11 +631,6 @@ bool ReplicaServer::InstallEventual(const WriteRecord& w, bool gossip,
   bool inserted = good_.Apply(w);
   if (!inserted) return false;  // duplicate delivery (anti-entropy redundancy)
   persistence_.PersistGood(good_.LogicalShardOfKey(w.key), w);
-  if (options_.checkpoint_every_writes != 0 && persistence_.enabled() &&
-      ++writes_since_checkpoint_ >= options_.checkpoint_every_writes) {
-    writes_since_checkpoint_ = 0;
-    (void)CheckpointStorage();
-  }
   MaybeGcVersions(w.key);
   if (gossip) anti_entropy_.Enqueue(w, net::PutMode::kEventual, origin, trace);
   return true;

@@ -95,8 +95,6 @@ struct ServerOptions {
   sim::Duration migration_chunk_timeout = 500 * sim::kMillisecond;
   /// Cadence of source-side migration catch-up digest rounds.
   sim::Duration migration_catchup_interval = 50 * sim::kMillisecond;
-  /// Conflicting-lock resolution for the locking baseline.
-  LockPolicy lock_policy = LockPolicy::kWaitDie;
   /// Charge WAL-sync service time on installs (the paper's servers write
   /// synchronously to LevelDB before responding).
   bool durable = true;
@@ -131,10 +129,6 @@ struct ServerOptions {
   /// (Section 5.1.2: "older versions can be asynchronously garbage
   /// collected").
   size_t max_versions_per_key = 8;
-  /// Checkpoint durable storage after this many eventual-path installs
-  /// (0 = checkpoints are taken only via explicit CheckpointStorage()
-  /// calls). Bounds crash-recovery replay to checkpoint + tail.
-  size_t checkpoint_every_writes = 0;
 };
 
 /// Aggregate view over the dispatcher's own counters and every subsystem's
@@ -412,7 +406,6 @@ class ReplicaServer : public net::RpcNode {
 
   version::ShardedStore good_;
   PersistenceManager persistence_;
-  size_t writes_since_checkpoint_ = 0;
   MavCoordinator mav_;
   AntiEntropyEngine anti_entropy_;
   LockManager locks_;

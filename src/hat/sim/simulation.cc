@@ -10,59 +10,39 @@ EventId Simulation::At(SimTime t, Callback cb) {
   if (t < now_) t = now_;
   EventId id = next_id_++;
   queue_.push(Event{t, next_seq_++, id, std::move(cb)});
-  live_events_++;
+  pending_.insert(id);
   return id;
 }
 
-bool Simulation::Cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  if (!cancelled_.insert(id).second) return false;  // already cancelled
-  if (live_events_ > 0) live_events_--;
-  return true;
-}
+bool Simulation::Cancel(EventId id) { return pending_.erase(id) == 1; }
 
-bool Simulation::IsCancelled(EventId id) {
-  auto it = cancelled_.find(id);
-  if (it == cancelled_.end()) return false;
-  cancelled_.erase(it);
+bool Simulation::PopAndFire() {
+  const Event& top = queue_.top();
+  Event ev{top.time, top.seq, top.id, std::move(const_cast<Event&>(top).cb)};
+  queue_.pop();
+  if (pending_.erase(ev.id) == 0) return false;  // cancelled
+  now_ = ev.time;
+  ev.cb();
+  events_processed_++;
   return true;
 }
 
 bool Simulation::Step() {
   while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    Event ev{top.time, top.seq, top.id, std::move(const_cast<Event&>(top).cb)};
-    queue_.pop();
-    if (IsCancelled(ev.id)) continue;
-    live_events_--;
-    now_ = ev.time;
-    ev.cb();
-    events_processed_++;
-    return true;
+    if (PopAndFire()) return true;
   }
   return false;
 }
 
 uint64_t Simulation::Run(SimTime limit) {
   uint64_t processed = 0;
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (top.time > limit) break;
-    Event ev{top.time, top.seq, top.id, std::move(const_cast<Event&>(top).cb)};
-    queue_.pop();
-    if (IsCancelled(ev.id)) continue;
-    live_events_--;
-    now_ = ev.time;
-    ev.cb();
-    processed++;
-    events_processed_++;
+  while (!queue_.empty() && queue_.top().time <= limit) {
+    if (PopAndFire()) processed++;
   }
-  if (queue_.empty() || queue_.top().time > limit) {
-    // Advance the clock to the limit when asked to run to a horizon, so a
-    // subsequent After() is relative to the horizon, matching wall-clock use.
-    if (limit != std::numeric_limits<SimTime>::max()) {
-      now_ = std::max(now_, limit);
-    }
+  // Advance the clock to the limit when asked to run to a horizon, so a
+  // subsequent After() is relative to the horizon, matching wall-clock use.
+  if (limit != std::numeric_limits<SimTime>::max()) {
+    now_ = std::max(now_, limit);
   }
   return processed;
 }

@@ -69,7 +69,7 @@ class Simulation {
   uint64_t events_processed() const { return events_processed_; }
 
   /// True if no events remain.
-  bool Idle() const { return live_events_ == 0; }
+  bool Idle() const { return pending_.empty(); }
 
   /// Root RNG for the simulation; components should Fork() children from it
   /// at setup time so that adding a component does not perturb others.
@@ -93,13 +93,15 @@ class Simulation {
   uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   uint64_t events_processed_ = 0;
-  uint64_t live_events_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
-  // Cancelled ids; tombstones lazily discarded when their event pops.
-  std::unordered_set<EventId> cancelled_;
+  // Ids of scheduled events that have neither fired nor been cancelled. A
+  // cancelled event stays in queue_ and is skipped when it pops.
+  std::unordered_set<EventId> pending_;
   Rng rng_;
 
-  bool IsCancelled(EventId id);
+  /// Pops the earliest queued event and runs it unless it was cancelled.
+  /// Returns true if it ran. Requires a non-empty queue.
+  bool PopAndFire();
 };
 
 }  // namespace hat::sim

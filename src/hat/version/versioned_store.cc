@@ -333,15 +333,6 @@ std::vector<WriteRecord> VersionedStore::VersionsAfter(
   return out;
 }
 
-std::vector<std::pair<Key, Timestamp>> VersionedStore::Digest() const {
-  std::vector<std::pair<Key, Timestamp>> out;
-  out.reserve(states_.size());
-  ForEachLatestImpl([&out](const Key& key, const Timestamp& ts) {
-    out.emplace_back(key, ts);
-  });
-  return out;
-}
-
 std::vector<uint64_t> VersionedStore::BucketHashes() const {
   std::vector<uint64_t> out;
   out.reserve(buckets_.size());

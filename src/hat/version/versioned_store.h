@@ -139,11 +139,7 @@ class VersionedStore {
   std::vector<WriteRecord> VersionsAfter(const Key& key,
                                          const Timestamp& after) const;
 
-  /// All (key, latest timestamp) pairs, in key order (ForEachLatest,
-  /// materialized).
-  std::vector<std::pair<Key, Timestamp>> Digest() const;
-
-  /// Visitor form of Digest(): streams (key, latest timestamp) pairs without
+  /// Streams every (key, latest timestamp) pair in key order, without
   /// copying keys. Hot path for periodic digest-sync ticks.
   template <class Fn>
   void ForEachLatest(Fn&& fn) const {

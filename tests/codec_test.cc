@@ -3,8 +3,8 @@
 // strings), WireBytes() equals the real encoded frame size, frame-level
 // corruption (flipped CRC, truncated length prefix, trailing garbage, bad
 // enum bytes, reserved flags) is rejected without crashing, and the
-// zero-copy views agree with the owning decoder while borrowing from the
-// frame buffer.
+// standalone WriteRecord encoding (the durable record format) round-trips
+// and rejects truncated, out-of-range, and overlong input.
 
 #include <gtest/gtest.h>
 
@@ -490,98 +490,71 @@ TEST(WireCodecTest, TruncationFuzzNeverCrashes) {
   }
 }
 
-// --------------------------- zero-copy views --------------------------------
+// ------------------------ standalone WriteRecord ---------------------------
 
-TEST(WireCodecTest, AntiEntropyBatchViewMatchesOwningDecode) {
-  Rng rng(0xae);
-  for (int iter = 0; iter < 30; iter++) {
-    AntiEntropyBatch batch;
-    Fill(batch, rng);
-    Envelope env{3, 4, 0, false, batch};
-    std::string frame = EncodeToString(env);
+std::string EncodeRecord(const WriteRecord& w) {
+  std::string out;
+  codec::EncodeWriteRecord(w, &out);
+  return out;
+}
 
-    std::string_view stream(frame);
-    std::string_view payload;
-    ASSERT_EQ(codec::ExtractFrame(&stream, &payload), FrameStatus::kOk);
-    codec::PayloadHeader hdr;
-    codec::AntiEntropyBatchView view;
-    ASSERT_TRUE(codec::GetAntiEntropyBatchView(payload, &hdr, &view));
-    EXPECT_EQ(hdr.from, 3u);
-    EXPECT_EQ(view.batch_id, batch.batch_id);
-    EXPECT_EQ(view.mode, batch.mode);
-    EXPECT_EQ(view.shard, batch.shard);
-    ASSERT_EQ(view.nwrites, batch.writes.size());
+TEST(WireTest, WriteRecordRoundTrip) {
+  WriteRecord w;
+  w.key = "the-key";
+  w.value = std::string("payload with \0 byte", 19);
+  w.kind = WriteKind::kDelta;
+  w.ts = {123456789, 42};
+  w.sibs = {"a", "b", "the-key"};
+  w.deps = {{"x", {9, 9}}, {"y", {8, 8}}};
+  std::string enc = EncodeRecord(w);
+  EXPECT_EQ(enc.size(), codec::EncodedWriteRecordSize(w));
+  WriteRecord decoded;
+  ASSERT_TRUE(codec::DecodeWriteRecord(enc, &decoded));
+  EXPECT_EQ(decoded.key, w.key);
+  EXPECT_EQ(decoded.value, w.value);
+  EXPECT_EQ(decoded.kind, w.kind);
+  EXPECT_EQ(decoded.ts, w.ts);
+  EXPECT_EQ(decoded.sibs, w.sibs);
+  EXPECT_EQ(decoded.deps, w.deps);
+}
 
-    size_t i = 0;
-    bool all = view.ForEachWrite([&](const codec::WriteRecordView& w) {
-      const WriteRecord& want = batch.writes[i++];
-      EXPECT_EQ(w.key, want.key);
-      EXPECT_EQ(w.value, want.value);
-      EXPECT_EQ(w.kind, want.kind);
-      EXPECT_EQ(w.ts, want.ts);
-      // The views are slices of the frame buffer, not copies.
-      if (!w.key.empty()) {
-        EXPECT_GE(w.key.data(), frame.data());
-        EXPECT_LE(w.key.data() + w.key.size(), frame.data() + frame.size());
-      }
-      WriteRecord owned = w.ToOwned();
-      EXPECT_EQ(owned.sibs, want.sibs);
-      EXPECT_EQ(owned.deps, want.deps);
-    });
-    EXPECT_TRUE(all);
-    EXPECT_EQ(i, batch.writes.size());
+TEST(WireTest, DecodeRejectsTruncation) {
+  WriteRecord w;
+  w.key = "k";
+  w.value = "v";
+  w.ts = {1, 1};
+  w.sibs = {"k", "other"};
+  std::string enc = EncodeRecord(w);
+  for (size_t cut = 0; cut < enc.size(); cut++) {
+    WriteRecord out;
+    EXPECT_FALSE(codec::DecodeWriteRecord(enc.substr(0, cut), &out))
+        << "cut " << cut;
   }
 }
 
-TEST(WireCodecTest, SnapshotChunkViewMatchesOwningDecode) {
-  Rng rng(0x5c);
-  ShardSnapshotChunk chunk;
-  Fill(chunk, rng);
-  chunk.writes.push_back(RandRecord(rng));
-  Envelope env{8, 9, 44, false, chunk};
-  std::string frame = EncodeToString(env);
-
-  std::string_view stream(frame);
-  std::string_view payload;
-  ASSERT_EQ(codec::ExtractFrame(&stream, &payload), FrameStatus::kOk);
-  codec::PayloadHeader hdr;
-  codec::ShardSnapshotChunkView view;
-  ASSERT_TRUE(codec::GetShardSnapshotChunkView(payload, &hdr, &view));
-  EXPECT_EQ(hdr.rpc_id, 44u);
-  EXPECT_EQ(view.migration_id, chunk.migration_id);
-  EXPECT_EQ(view.shard, chunk.shard);
-  EXPECT_EQ(view.seq, chunk.seq);
-  EXPECT_EQ(view.done, chunk.done);
-  size_t i = 0;
-  EXPECT_TRUE(view.ForEachWrite([&](const codec::WriteRecordView& w) {
-    EXPECT_EQ(w.ToOwned().key, chunk.writes[i++].key);
-  }));
-  EXPECT_EQ(i, chunk.writes.size());
+TEST(WireTest, DecodeRejectsOutOfRangeKind) {
+  WriteRecord w;
+  w.key = "k";
+  w.value = "v";
+  w.ts = {1, 1};
+  std::string enc = EncodeRecord(w);
+  // Layout: len("k") 'k' len("v") 'v' kind ...: the kind byte is at 4.
+  ASSERT_EQ(enc[4], static_cast<char>(WriteKind::kPut));
+  enc[4] = 7;
+  WriteRecord out;
+  EXPECT_FALSE(codec::DecodeWriteRecord(enc, &out));
 }
 
-TEST(WireCodecTest, ViewRejectsWrongTag) {
-  Envelope env{1, 2, 0, false, PingRequest{}};
-  std::string frame = EncodeToString(env);
-  std::string_view stream(frame);
-  std::string_view payload;
-  ASSERT_EQ(codec::ExtractFrame(&stream, &payload), FrameStatus::kOk);
-  codec::PayloadHeader hdr;
-  codec::AntiEntropyBatchView view;
-  EXPECT_FALSE(codec::GetAntiEntropyBatchView(payload, &hdr, &view));
-}
-
-TEST(WireCodecTest, ViewRejectsTrailingRecordGarbage) {
-  AntiEntropyBatch batch;
-  batch.batch_id = 1;
-  batch.writes.push_back(WriteRecord{"k", "v", WriteKind::kPut, {1, 2, 0},
-                                     {}, {}});
-  Envelope env{1, 2, 0, false, batch};
-  std::string payload = PayloadOf(EncodeToString(env));
-  payload += '\7';
-  codec::PayloadHeader hdr;
-  codec::AntiEntropyBatchView view;
-  ASSERT_TRUE(codec::GetAntiEntropyBatchView(payload, &hdr, &view));
-  EXPECT_FALSE(view.ForEachWrite([](const codec::WriteRecordView&) {}));
+TEST(WireTest, DecodeRejectsTrailingByte) {
+  WriteRecord w;
+  w.key = "k";
+  w.value = "v";
+  w.ts = {1, 1};
+  std::string enc = EncodeRecord(w);
+  WriteRecord out;
+  ASSERT_TRUE(codec::DecodeWriteRecord(enc, &out));
+  enc.push_back('\0');
+  EXPECT_FALSE(codec::DecodeWriteRecord(enc, &out));
 }
 
 // --------------------------- traced envelopes ------------------------------

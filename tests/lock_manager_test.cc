@@ -134,42 +134,6 @@ TEST_F(LockManagerTest, ReleasePurgesAbortedWaiter) {
   EXPECT_EQ(locks_.LockedKeyCount(), 0u);
 }
 
-TEST_F(LockManagerTest, NoWaitAbortsWhereWaitDieQueues) {
-  // The exact scenario wait-die queues on (an *older* requester conflicting
-  // with a younger holder) must abort immediately under NO_WAIT: nothing
-  // ever waits, so there is no hold-and-wait edge to deadlock through.
-  std::vector<Response> responses;
-  LockManager no_wait(
-      [&responses](const net::Envelope& env, const net::LockResponse& r) {
-        const auto& req = std::get<net::LockRequest>(env.msg);
-        responses.push_back(Response{req.txn, r.granted, r.must_abort});
-      },
-      LockPolicy::kNoWait);
-
-  net::Envelope holder = Request("k", true, {10, 1});
-  no_wait.Acquire(holder, std::get<net::LockRequest>(holder.msg));
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_TRUE(responses.back().granted);
-
-  // Wait-die baseline queues this older request (see
-  // OlderRequesterQueuesAndIsGrantedOnRelease); no-wait must answer
-  // must_abort on the spot instead.
-  net::Envelope older = Request("k", true, {1, 2});
-  no_wait.Acquire(older, std::get<net::LockRequest>(older.msg));
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_FALSE(responses.back().granted);
-  EXPECT_TRUE(responses.back().must_abort);
-  EXPECT_EQ(no_wait.stats().queued, 0u);
-  EXPECT_EQ(no_wait.stats().deaths, 1u);
-
-  // Non-conflicting requests still grant, and a release frees the key
-  // immediately (no waiter bookkeeping to unwind).
-  no_wait.Release(net::UnlockRequest{{"k"}, {10, 1}});
-  net::Envelope retry = Request("k", true, {1, 2});
-  no_wait.Acquire(retry, std::get<net::LockRequest>(retry.msg));
-  EXPECT_TRUE(responses.back().granted);
-}
-
 TEST_F(LockManagerTest, ClearDropsLocksButKeepsStats) {
   EXPECT_TRUE(Acquire("k", true, {3, 3})->granted);
   locks_.Clear();

@@ -9,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "hat/net/codec.h"
+#include "hat/storage/local_store.h"
+
 namespace hat::server {
 namespace {
 
@@ -43,10 +46,11 @@ struct Recovered {
   std::vector<std::pair<size_t, WriteRecord>> pending;
 };
 
-Recovered Recover(PersistenceManager& pm, size_t shard_count = 1) {
+Recovered Recover(PersistenceManager& pm,
+                  const std::vector<uint32_t>& shards = {0}) {
   Recovered out;
   Status s = pm.Recover(
-      shard_count,
+      shards,
       [&](size_t shard, const WriteRecord& w) {
         out.good.emplace_back(shard, w);
       },
@@ -63,7 +67,7 @@ TEST(PersistenceManagerTest, DisabledManagerIsInert) {
   pm.PersistGood(0, MakeWrite("k", 1, "v"));  // must not crash
   pm.PersistPending(0, MakeWrite("k", 2, "v"));
   pm.ErasePersistedPending(0, MakeWrite("k", 2, "v"));
-  Status s = pm.Recover(1, [](size_t, const WriteRecord&) {},
+  Status s = pm.Recover({0}, [](size_t, const WriteRecord&) {},
                         [](size_t, const WriteRecord&) {});
   EXPECT_FALSE(s.ok());
 }
@@ -121,13 +125,43 @@ TEST(PersistenceManagerTest, RecoveryCallbacksMayPersistAgain) {
   // A pending record re-entering the MAV pipeline persists itself again
   // mid-recovery; the scan must not observe its own writes.
   size_t seen = 0;
-  Status s = pm.Recover(1, [](size_t, const WriteRecord&) {},
+  Status s = pm.Recover({0}, [](size_t, const WriteRecord&) {},
                         [&](size_t, const WriteRecord& w) {
                           seen++;
                           pm.PersistPending(0, w);
                         });
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(seen, 1u);
+}
+
+TEST(PersistenceManagerTest, RecoverySkipsUndecodableRecord) {
+  TempDir dir("corrupt");
+  {
+    PersistenceManager pm(dir.path());
+    pm.PersistGood(0, MakeWrite("a", 1, "va"));
+    pm.PersistGood(0, MakeWrite("c", 2, "vc"));
+    pm.PersistPending(0, MakeWrite("d", 3, "vd"));
+  }
+  {
+    // A value under each record keyspace that is no WriteRecord: one
+    // truncated, one with a stray byte after a well-formed record.
+    auto disk = storage::LocalStore::Open(dir.path());
+    ASSERT_TRUE(disk.ok());
+    ASSERT_TRUE(disk.value()->Put("g/0000/b", "\x05tru").ok());
+    std::string overlong;
+    net::codec::EncodeWriteRecord(MakeWrite("e", 4, "ve"), &overlong);
+    overlong.push_back('\0');
+    ASSERT_TRUE(disk.value()->Put("p/0000/e", overlong).ok());
+  }
+  PersistenceManager pm(dir.path());
+  Recovered r = Recover(pm);
+  ASSERT_EQ(r.good.size(), 2u);
+  EXPECT_EQ(r.good[0].second.key, "a");
+  EXPECT_EQ(r.good[1].second.key, "c");
+  ASSERT_EQ(r.pending.size(), 1u);
+  EXPECT_EQ(r.pending[0].second.key, "d");
+  EXPECT_EQ(pm.recover_stats().tail_records, 2u);
+  EXPECT_EQ(pm.recover_stats().pending_records, 1u);
 }
 
 TEST(PersistenceManagerTest, ShardKeyspacesAreDisjoint) {
@@ -154,7 +188,7 @@ TEST(PersistenceManagerTest, ShardKeyspacesAreDisjoint) {
   EXPECT_EQ(shard1_good, (std::vector<Key>{"b"}));
   EXPECT_EQ(shard1_pending, (std::vector<Key>{"d"}));
 
-  Recovered all = Recover(pm, /*shard_count=*/3);
+  Recovered all = Recover(pm, {0, 1, 2});
   ASSERT_EQ(all.good.size(), 3u);
   for (const auto& [shard, w] : all.good) {
     if (w.key == "a") {
@@ -168,7 +202,7 @@ TEST(PersistenceManagerTest, ShardKeyspacesAreDisjoint) {
   ASSERT_EQ(all.pending.size(), 1u);
   EXPECT_EQ(all.pending[0].first, 1u);
   // A Recover scoped to fewer shards replays only those prefixes.
-  Recovered partial = Recover(pm, /*shard_count=*/1);
+  Recovered partial = Recover(pm, {0});
   ASSERT_EQ(partial.good.size(), 1u);
   EXPECT_EQ(partial.good[0].second.key, "a");
 }

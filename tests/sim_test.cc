@@ -111,6 +111,21 @@ TEST(SimulationTest, IdleReflectsLiveEvents) {
   EXPECT_TRUE(sim.Idle());
 }
 
+TEST(SimulationTest, CancelAfterFireIsNoop) {
+  Simulation sim;
+  EventId first = sim.At(10, [] {});
+  sim.Run();
+  bool fired = false;
+  sim.At(20, [&] { fired = true; });
+  // The first event already ran: cancelling it must neither report success
+  // nor make the still-pending second event look gone.
+  EXPECT_FALSE(sim.Cancel(first));
+  EXPECT_FALSE(sim.Idle());
+  sim.Run();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(sim.Idle());
+}
+
 TEST(SimulationTest, DeterministicAcrossRuns) {
   auto run = [](uint64_t seed) {
     Simulation sim(seed);

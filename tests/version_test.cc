@@ -9,7 +9,6 @@
 #include "hat/common/rng.h"
 #include "hat/version/sharded_store.h"
 #include "hat/version/versioned_store.h"
-#include "hat/version/wire.h"
 
 namespace hat::version {
 namespace {
@@ -180,7 +179,10 @@ TEST(VersionedStoreTest, DigestListsLatestPerKey) {
   store.Apply(Put("a", "1", 1));
   store.Apply(Put("a", "2", 7));
   store.Apply(Put("b", "1", 3));
-  auto digest = store.Digest();
+  std::vector<std::pair<Key, Timestamp>> digest;
+  store.ForEachLatest([&digest](const Key& key, const Timestamp& ts) {
+    digest.emplace_back(key, ts);
+  });
   ASSERT_EQ(digest.size(), 2u);
   EXPECT_EQ(digest[0], (std::pair<Key, Timestamp>{"a", {7, 1}}));
   EXPECT_EQ(digest[1], (std::pair<Key, Timestamp>{"b", {3, 1}}));
@@ -649,44 +651,6 @@ TEST(ShardedStoreTest, GcFrontiersAreShardLocal) {
                     (s == victim_shard ? 3 : 0);
     EXPECT_EQ(store.shard(s).VersionCount(), expect) << s;
   }
-}
-
-// ------------------------------- wire -------------------------------------
-
-TEST(WireTest, WriteRecordRoundTrip) {
-  WriteRecord w;
-  w.key = "the-key";
-  w.value = "payload with \0 byte";
-  w.kind = WriteKind::kDelta;
-  w.ts = {123456789, 42};
-  w.sibs = {"a", "b", "the-key"};
-  w.deps = {{"x", {9, 9}}, {"y", {8, 8}}};
-  auto decoded = DecodeWriteRecord(w.key, EncodeWriteRecord(w));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->key, w.key);
-  EXPECT_EQ(decoded->value, w.value);
-  EXPECT_EQ(decoded->kind, w.kind);
-  EXPECT_EQ(decoded->ts, w.ts);
-  EXPECT_EQ(decoded->sibs, w.sibs);
-  ASSERT_EQ(decoded->deps.size(), 2u);
-  EXPECT_EQ(decoded->deps[1].key, "y");
-}
-
-TEST(WireTest, DecodeRejectsTruncation) {
-  WriteRecord w;
-  w.key = "k";
-  w.value = "v";
-  w.ts = {1, 1};
-  w.sibs = {"k", "other"};
-  std::string enc = EncodeWriteRecord(w);
-  EXPECT_FALSE(DecodeWriteRecord("k", enc.substr(0, 5)).has_value());
-}
-
-TEST(WireTest, StorageKeyRoundTrip) {
-  auto parsed = ParseStorageKey(StorageKeyFor("mykey", {77, 3}));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->first, "mykey");
-  EXPECT_EQ(parsed->second, (Timestamp{77, 3}));
 }
 
 TEST(KeyInternerTest, DenseIdsAndStableViews) {
