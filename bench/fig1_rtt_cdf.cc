@@ -15,7 +15,7 @@ namespace {
 class Pinger : public net::RpcNode {
  public:
   using net::RpcNode::RpcNode;
-  void HandleMessage(const net::Envelope& env) override {
+  void HandleMessage(net::Envelope env) override {
     Reply(env, net::PingResponse{});
   }
 };

@@ -1,9 +1,11 @@
 // Google-benchmark microbenchmarks for the core in-memory machinery:
 // multi-version store apply/read/fold, ShardExecutor scheduling overhead,
-// DSG construction + cycle search, history analysis, network latency
+// event-queue schedule/cancel, DSG construction + cycle search, history analysis, network latency
 // sampling, zipfian generation.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "hat/adya/phenomena.h"
 #include "hat/common/codec.h"
@@ -238,6 +240,27 @@ void BM_ShardExecutorBook(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardExecutorBook)->Arg(1)->Arg(8)->Arg(64);
+
+/// The event-loop pattern of RPC traffic: each message delivery is a short
+/// event, and each call arms a 2 s timeout that its reply cancels. Arg is the
+/// number of timeouts outstanding, so the queue holds about that many live
+/// events; a queue that kept cancelled entries until their deadline would
+/// grow far past it.
+void BM_SimScheduleCancel(benchmark::State& state) {
+  sim::Simulation sim(1);
+  std::vector<sim::EventId> timeouts(static_cast<size_t>(state.range(0)));
+  for (auto& id : timeouts) id = sim.After(2 * sim::kSecond, [] {});
+  size_t oldest = 0;
+  for (auto _ : state) {
+    sim.After(1, [] {});                                     // a delivery
+    benchmark::DoNotOptimize(sim.Cancel(timeouts[oldest]));  // its reply
+    timeouts[oldest] = sim.After(2 * sim::kSecond, [] {});   // the next call
+    if (++oldest == timeouts.size()) oldest = 0;
+    sim.Step();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimScheduleCancel)->Arg(1 << 10)->Arg(100000);
 
 /// End-to-end executor hot path: submit with a completion callback and
 /// drain the simulator — scheduling arithmetic + event heap traffic, i.e.

@@ -49,7 +49,7 @@ TxnClient::TxnClient(sim::Simulation& sim, net::Network& net, net::NodeId id,
       route_rng_(Fnv1a64(static_cast<uint64_t>(id)) ^ 0x9e3779b97f4a7c15ULL) {
 }
 
-void TxnClient::HandleMessage(const net::Envelope& env) {
+void TxnClient::HandleMessage(net::Envelope env) {
   (void)env;  // Clients receive only RPC responses (handled by RpcNode).
 }
 

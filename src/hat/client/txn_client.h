@@ -89,7 +89,7 @@ class TxnClient : public net::RpcNode {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  protected:
-  void HandleMessage(const net::Envelope& env) override;
+  void HandleMessage(net::Envelope env) override;
 
  private:
   struct BufferedWrite {

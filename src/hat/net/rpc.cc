@@ -4,17 +4,20 @@ namespace hat::net {
 
 void RpcNode::Call(NodeId to, Message request, sim::Duration timeout,
                    RpcCallback cb, obs::TraceContext trace) {
-  uint64_t rpc_id = next_rpc_id_++;
-  sim::EventId timeout_event = sim_.After(timeout, [this, rpc_id]() {
-    auto it = pending_.find(rpc_id);
-    if (it == pending_.end()) return;
-    RpcCallback cb = std::move(it->second.cb);
-    pending_.erase(it);
-    cb(Status::Timeout("rpc timed out"), nullptr);
+  const uint64_t rpc_id = pending_.Insert(PendingRpc{std::move(cb)});
+  pending_.Find(rpc_id)->timeout_event = sim_.After(timeout, [this, rpc_id]() {
+    RpcCallback cb = Complete(rpc_id);
+    if (cb) cb(Status::Timeout("rpc timed out"), nullptr);
   });
-  pending_.emplace(rpc_id, PendingRpc{std::move(cb), timeout_event});
   net_.Send(Envelope{id_, to, rpc_id, /*is_response=*/false,
                      std::move(request), trace});
+}
+
+RpcNode::RpcCallback RpcNode::Complete(uint64_t rpc_id) {
+  PendingRpc* call = pending_.Find(rpc_id);
+  if (call == nullptr) return nullptr;
+  sim_.Cancel(call->timeout_event);
+  return pending_.Take(SlotTable<PendingRpc>::SlotOf(rpc_id)).cb;
 }
 
 void RpcNode::SendOneWay(NodeId to, Message msg, obs::TraceContext trace) {
@@ -30,15 +33,11 @@ void RpcNode::Reply(const Envelope& request, Message response) {
 
 void RpcNode::OnMessage(Envelope env) {
   if (env.is_response) {
-    auto it = pending_.find(env.rpc_id);
-    if (it == pending_.end()) return;  // response raced with timeout
-    RpcCallback cb = std::move(it->second.cb);
-    sim_.Cancel(it->second.timeout_event);
-    pending_.erase(it);
-    cb(Status::Ok(), &env.msg);
+    RpcCallback cb = Complete(env.rpc_id);
+    if (cb) cb(Status::Ok(), &env.msg);  // else it raced with the timeout
     return;
   }
-  HandleMessage(env);
+  HandleMessage(std::move(env));
 }
 
 }  // namespace hat::net

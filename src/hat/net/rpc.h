@@ -7,9 +7,9 @@
 #define HAT_NET_RPC_H_
 
 #include <functional>
-#include <unordered_map>
 #include <utility>
 
+#include "hat/common/slot_table.h"
 #include "hat/common/status.h"
 #include "hat/net/network.h"
 #include "hat/sim/simulation.h"
@@ -45,19 +45,27 @@ class RpcNode : public MessageSink {
 
  protected:
   /// Invoked for incoming requests and one-way messages (not responses).
-  virtual void HandleMessage(const Envelope& env) = 0;
+  /// Takes the envelope by value so a handler can keep it without a copy.
+  virtual void HandleMessage(Envelope env) = 0;
 
   sim::Simulation& sim_;
   Network& net_;
 
  private:
-  NodeId id_;
-  uint64_t next_rpc_id_ = 1;
   struct PendingRpc {
     RpcCallback cb;
-    sim::EventId timeout_event;
+    sim::EventId timeout_event = 0;
   };
-  std::unordered_map<uint64_t, PendingRpc> pending_;
+
+  /// Completes the outstanding call `rpc_id`, cancelling its timeout, and
+  /// returns its callback; null if the call already completed.
+  RpcCallback Complete(uint64_t rpc_id);
+
+  NodeId id_;
+  // Outstanding calls, keyed by rpc_id: a SlotTable id, so never 0 (the
+  // one-way marker), and a late response or timeout for a call that already
+  // completed finds nothing even when its slot is reused.
+  SlotTable<PendingRpc> pending_;
 };
 
 }  // namespace hat::net

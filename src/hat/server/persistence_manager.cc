@@ -261,13 +261,18 @@ Status PersistenceManager::RecoverShard(
   if (!disk_) return Status::Unsupported("server has no storage directory");
   // Streams every record of one "<kind>/<shard>/" keyspace to `sink`,
   // counting it in `*count`. A stored value that does not decode is
-  // skipped: one corrupt record must not block replay of the rest.
+  // counted as undecodable and skipped: one corrupt record must not block
+  // replay of the rest.
   auto scan = [this, shard](std::string_view kind, uint64_t* count,
                             auto&& sink) {
     return disk_->Scan(ShardPrefix(kind, shard), ShardPrefixEnd(kind, shard),
-                       [count, &sink](std::string_view, std::string_view value) {
+                       [this, count, &sink](std::string_view,
+                                            std::string_view value) {
                          WriteRecord w;
-                         if (!net::codec::DecodeWriteRecord(value, &w)) return;
+                         if (!net::codec::DecodeWriteRecord(value, &w)) {
+                           stats_.undecodable_records++;
+                           return;
+                         }
                          (*count)++;
                          sink(std::move(w));
                        });

@@ -46,6 +46,9 @@ struct RecoverStats {
   uint64_t checkpoint_records = 0;
   uint64_t tail_records = 0;
   uint64_t pending_records = 0;
+  /// Stored values under any record keyspace that did not decode as a
+  /// WriteRecord; skipped, so each is a record recovery lost.
+  uint64_t undecodable_records = 0;
 };
 
 /// The durable marker a completed checkpoint leaves behind.

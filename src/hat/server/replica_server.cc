@@ -391,11 +391,15 @@ const std::vector<ShardExecutor::Work>& ReplicaServer::PlanFor(
   return plan_scratch_;
 }
 
-void ReplicaServer::HandleMessage(const Envelope& env) {
+void ReplicaServer::HandleMessage(Envelope env) {
   // env.trace (active only for sampled transactions) flows into the
-  // executor so a traced request's queue-wait and execution are spans.
-  executor_.SubmitAll(PlanFor(env.msg), [this, env]() { Process(env); },
-                      env.trace);
+  // executor so a traced request's queue-wait and execution are spans. The
+  // plan and the trace are taken before the envelope moves into the
+  // closure: argument evaluation order is unspecified.
+  const std::vector<ShardExecutor::Work>& plan = PlanFor(env.msg);
+  const obs::TraceContext trace = env.trace;
+  executor_.SubmitAll(
+      plan, [this, env = std::move(env)]() { Process(env); }, trace);
 }
 
 void ReplicaServer::Process(const Envelope& env) {

@@ -331,7 +331,7 @@ class ReplicaServer : public net::RpcNode {
   }
 
  protected:
-  void HandleMessage(const net::Envelope& env) override;
+  void HandleMessage(net::Envelope env) override;
 
  private:
   void Process(const net::Envelope& env);

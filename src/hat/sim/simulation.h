@@ -11,11 +11,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "hat/common/rng.h"
+#include "hat/common/slot_table.h"
 
 namespace hat::sim {
 
@@ -29,7 +28,8 @@ constexpr Duration kMicrosecond = 1;
 constexpr Duration kMillisecond = 1000;
 constexpr Duration kSecond = 1000 * 1000;
 
-/// Handle to a scheduled event; can be used to cancel it.
+/// Handle to a scheduled event; can be used to cancel it. A SlotTable id, so
+/// an id that outlived its event is stale.
 using EventId = uint64_t;
 
 /// The event loop. Not thread-safe by design: determinism requires a single
@@ -69,39 +69,50 @@ class Simulation {
   uint64_t events_processed() const { return events_processed_; }
 
   /// True if no events remain.
-  bool Idle() const { return pending_.empty(); }
+  bool Idle() const { return heap_.empty(); }
 
   /// Root RNG for the simulation; components should Fork() children from it
   /// at setup time so that adding a component does not perturb others.
   Rng& rng() { return rng_; }
 
  private:
-  struct Event {
+  // The queue is a binary min-heap of small trivially-copyable entries
+  // ordered by (time, seq); callbacks stay put in a slot table. Each slot's
+  // heap position is tracked, so Cancel removes the entry and the heap only
+  // ever holds live events.
+  struct HeapEntry {
     SimTime time;
     uint64_t seq;  // FIFO tie-break for equal timestamps
-    EventId id;
-    Callback cb;
+    uint32_t slot;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;  // min-heap
-      return a.seq > b.seq;
-    }
-  };
+
+  static bool Before(const HeapEntry& a, const HeapEntry& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
-  // Ids of scheduled events that have neither fired nor been cancelled. A
-  // cancelled event stays in queue_ and is skipped when it pops.
-  std::unordered_set<EventId> pending_;
+  std::vector<HeapEntry> heap_;
+  SlotTable<Callback> pending_;
+  // By slot: the index of that pending event's entry in heap_. Kept apart
+  // from the callbacks so heap moves touch a dense array.
+  std::vector<uint32_t> heap_pos_;
   Rng rng_;
 
-  /// Pops the earliest queued event and runs it unless it was cancelled.
-  /// Returns true if it ran. Requires a non-empty queue.
-  bool PopAndFire();
+  /// Places `e` at heap position `pos`, keeping its slot's back-pointer.
+  void Place(size_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    heap_pos_[e.slot] = static_cast<uint32_t>(pos);
+  }
+  void SiftUp(size_t pos, HeapEntry e);
+  void SiftDown(size_t pos, HeapEntry e);
+  /// Removes the heap entry at `pos` and frees its slot, returning the
+  /// event's callback.
+  Callback Remove(size_t pos);
+
+  /// Pops the earliest event and runs it. Requires a non-empty heap.
+  void PopAndFire();
 };
 
 }  // namespace hat::sim

@@ -1,5 +1,5 @@
 // Unit tests for hat/common: Status/Result, RNG & distributions, CRC32,
-// histograms, codecs.
+// histograms, codecs, slot tables.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "hat/common/histogram.h"
 #include "hat/common/result.h"
 #include "hat/common/rng.h"
+#include "hat/common/slot_table.h"
 #include "hat/common/status.h"
 
 namespace hat {
@@ -519,6 +520,32 @@ TEST(CodecTest, ArraysRejectHostileCounts) {
 TEST(CodecTest, Int64ValueRejectsWrongSize) {
   EXPECT_FALSE(DecodeInt64Value("short").has_value());
   EXPECT_FALSE(DecodeInt64Value("123456789").has_value());
+}
+
+// ------------------------------ SlotTable ---------------------------------
+
+TEST(SlotTableTest, TakenIdsGoStaleAcrossSlotReuse) {
+  SlotTable<int> table;
+  uint64_t a = table.Insert(1);
+  uint64_t b = table.Insert(2);
+  EXPECT_NE(a, 0u);
+  EXPECT_NE(b, 0u);
+  ASSERT_NE(table.Find(a), nullptr);
+  EXPECT_EQ(*table.Find(a), 1);
+  EXPECT_EQ(table.Take(SlotTable<int>::SlotOf(a)), 1);
+  EXPECT_EQ(table.Find(a), nullptr);
+  // A free slot matches no id, not even the one it will issue next.
+  EXPECT_EQ(table.Find(a + (uint64_t{1} << 32)), nullptr);
+  EXPECT_EQ(table.Find(a + (uint64_t{2} << 32)), nullptr);
+
+  uint64_t c = table.Insert(3);  // reuses a's slot
+  EXPECT_EQ(SlotTable<int>::SlotOf(c), SlotTable<int>::SlotOf(a));
+  EXPECT_NE(c, a);
+  EXPECT_EQ(table.Find(a), nullptr);
+  ASSERT_NE(table.Find(c), nullptr);
+  EXPECT_EQ(*table.Find(c), 3);
+  EXPECT_EQ(*table.Find(b), 2);
+  EXPECT_EQ(table.Find(0), nullptr);
 }
 
 }  // namespace

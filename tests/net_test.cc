@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hat/net/network.h"
 #include "hat/net/rpc.h"
 #include "hat/net/topology.h"
@@ -178,7 +181,7 @@ TEST_F(NetworkTest, SelfSendAlwaysReachable) {
 class EchoNode : public RpcNode {
  public:
   using RpcNode::RpcNode;
-  void HandleMessage(const Envelope& env) override {
+  void HandleMessage(Envelope env) override {
     requests++;
     if (respond) Reply(env, PingResponse{});
   }
@@ -246,6 +249,70 @@ TEST_F(RpcTest, CallbackFiresExactlyOnce) {
                 [&](Status, const Message*) { fires++; });
   sim_.Run();
   EXPECT_EQ(fires, 1);
+}
+
+/// Answers each GetRequest with its own key as the value, after the next
+/// delay from `delays`, and records every request's rpc_id.
+class DelayedEcho : public RpcNode {
+ public:
+  using RpcNode::RpcNode;
+  void HandleMessage(Envelope env) override {
+    rpc_ids.push_back(env.rpc_id);
+    sim::Duration delay = delays.at(rpc_ids.size() - 1);
+    sim_.After(delay, [this, env = std::move(env)]() {
+      GetResponse resp;
+      resp.found = true;
+      resp.value = std::get<GetRequest>(env.msg).key;
+      Reply(env, resp);
+    });
+  }
+  std::vector<sim::Duration> delays;
+  std::vector<uint64_t> rpc_ids;
+};
+
+TEST(RpcSlotTest, LateResponseToReusedSlotIsDropped) {
+  sim::Simulation sim(6);
+  Topology topo;
+  NodeId a = topo.AddNode({Region::kVirginia, 0, 0});
+  NodeId b = topo.AddNode({Region::kVirginia, 0, 1});
+  Network net(sim, std::move(topo));
+  EchoNode client(sim, net, a);
+  DelayedEcho server(sim, net, b);
+  // The first answer comes long after its 100 ms timeout; the second call
+  // takes over the freed slot and is still pending when that answer lands.
+  server.delays = {200 * sim::kMillisecond, 300 * sim::kMillisecond};
+
+  auto get = [](const char* key) {
+    GetRequest req;
+    req.key = key;
+    return req;
+  };
+  int first_fires = 0;
+  std::vector<std::string> second_values;
+  client.Call(b, get("first"), 100 * sim::kMillisecond,
+              [&](Status s, const Message* m) {
+                first_fires++;
+                EXPECT_TRUE(s.IsTimeout());
+                EXPECT_EQ(m, nullptr);
+                client.Call(b, get("second"), sim::kSecond,
+                            [&](Status s2, const Message* m2) {
+                              ASSERT_TRUE(s2.ok());
+                              ASSERT_NE(m2, nullptr);
+                              second_values.push_back(
+                                  std::get<GetResponse>(*m2).value);
+                            });
+              });
+  sim.Run();
+
+  EXPECT_EQ(first_fires, 1);
+  EXPECT_EQ(second_values, std::vector<std::string>{"second"});
+  ASSERT_EQ(server.rpc_ids.size(), 2u);
+  EXPECT_NE(server.rpc_ids[0], 0u);
+  EXPECT_NE(server.rpc_ids[1], 0u);
+  EXPECT_NE(server.rpc_ids[0], server.rpc_ids[1]);
+  // Same slot (low half), later generation (high half).
+  EXPECT_EQ(static_cast<uint32_t>(server.rpc_ids[0]),
+            static_cast<uint32_t>(server.rpc_ids[1]));
 }
 
 TEST_F(RpcTest, OneWayNeedsNoResponse) {

@@ -162,6 +162,7 @@ TEST(PersistenceManagerTest, RecoverySkipsUndecodableRecord) {
   EXPECT_EQ(r.pending[0].second.key, "d");
   EXPECT_EQ(pm.recover_stats().tail_records, 2u);
   EXPECT_EQ(pm.recover_stats().pending_records, 1u);
+  EXPECT_EQ(pm.recover_stats().undecodable_records, 2u);
 }
 
 TEST(PersistenceManagerTest, ShardKeyspacesAreDisjoint) {

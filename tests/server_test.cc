@@ -17,7 +17,7 @@ using cluster::DeploymentOptions;
 class Probe : public net::RpcNode {
  public:
   using net::RpcNode::RpcNode;
-  void HandleMessage(const net::Envelope&) override {}
+  void HandleMessage(net::Envelope) override {}
 
   /// Synchronous RPC helper: drives the sim until the response arrives.
   Result<net::Message> CallSync(net::NodeId to, net::Message req,

@@ -190,7 +190,7 @@ TEST_F(ShardExecutorTest, ResetFreesLanesAndCores) {
 class Probe : public net::RpcNode {
  public:
   using net::RpcNode::RpcNode;
-  void HandleMessage(const net::Envelope&) override {}
+  void HandleMessage(net::Envelope) override {}
 };
 
 WriteRecord MakeWrite(const Key& key, const Value& value, uint64_t logical) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "hat/sim/simulation.h"
@@ -146,6 +148,106 @@ TEST(SimulationTest, EventCountTracked) {
   for (int i = 0; i < 7; i++) sim.At(i, [] {});
   sim.Run();
   EXPECT_EQ(sim.events_processed(), 7u);
+}
+
+TEST(SimulationTest, StaleIdDoesNotCancelSlotReuser) {
+  Simulation sim;
+  EventId cancelled = sim.At(10, [] {});
+  EXPECT_TRUE(sim.Cancel(cancelled));
+  // The freed slot is taken by the next event; the old id must not reach it.
+  bool fired = false;
+  EventId reuser = sim.At(20, [&] { fired = true; });
+  EXPECT_NE(reuser, cancelled);
+  EXPECT_FALSE(sim.Cancel(cancelled));
+  EXPECT_FALSE(sim.Cancel(0));
+  EXPECT_FALSE(sim.Idle());
+  sim.Run();
+  EXPECT_TRUE(fired);
+  // The same holds for an id whose event fired.
+  bool later = false;
+  sim.At(30, [&] { later = true; });
+  EXPECT_FALSE(sim.Cancel(reuser));
+  sim.Run();
+  EXPECT_TRUE(later);
+}
+
+TEST(SimulationTest, CancelMidHeapKeepsOrder) {
+  Simulation sim;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  // Times with ties, inserted out of order: (time, insertion) sorts them.
+  const SimTime times[] = {50, 10, 30, 10, 40, 30, 20, 50, 10, 20, 40, 30};
+  for (int i = 0; i < 12; i++) {
+    ids.push_back(sim.At(times[i], [&order, i] { order.push_back(i); }));
+  }
+  EXPECT_TRUE(sim.Cancel(ids[5]));
+  EXPECT_TRUE(sim.Cancel(ids[3]));
+  EXPECT_TRUE(sim.Cancel(ids[10]));
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 8, 6, 9, 2, 11, 4, 0, 7}));
+}
+
+TEST(SimulationTest, CallbackCanCancelAnotherEvent) {
+  Simulation sim;
+  std::vector<int> order;
+  EventId victim = 0;
+  bool cancelled = false;
+  sim.At(10, [&] {
+    order.push_back(1);
+    cancelled = sim.Cancel(victim);
+  });
+  victim = sim.At(20, [&] { order.push_back(2); });
+  sim.At(30, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.Run(), 2u);
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(sim.Idle());
+}
+
+// Interleaved At / Cancel / Step against a reference ordered set of
+// (time, insertion seq): pop order, Cancel's answers and Idle() must match.
+TEST(SimulationTest, MatchesReferenceQueueUnderRandomOps) {
+  Simulation sim;
+  Rng rng(7);
+  std::set<std::pair<SimTime, uint64_t>> live;
+  std::vector<SimTime> due;  // by seq
+  std::vector<EventId> ids;  // by seq
+  std::vector<bool> pending;  // by seq
+  int64_t fired = -1;
+  for (int op = 0; op < 10000; op++) {
+    uint64_t dice = rng.NextBelow(10);
+    if (dice < 5) {
+      uint64_t seq = ids.size();
+      SimTime t = sim.Now() + rng.NextBelow(50);
+      ids.push_back(sim.At(t, [&fired, seq] {
+        fired = static_cast<int64_t>(seq);
+      }));
+      due.push_back(t);
+      pending.push_back(true);
+      live.insert({t, seq});
+    } else if (dice < 7) {
+      if (ids.empty()) continue;
+      uint64_t seq = rng.NextBelow(ids.size());
+      ASSERT_EQ(sim.Cancel(ids[seq]), static_cast<bool>(pending[seq]))
+          << "op " << op;
+      if (pending[seq]) {
+        live.erase({due[seq], seq});
+        pending[seq] = false;
+      }
+    } else {
+      fired = -1;
+      ASSERT_EQ(sim.Step(), !live.empty()) << "op " << op;
+      if (!live.empty()) {
+        auto [t, seq] = *live.begin();
+        live.erase(live.begin());
+        ASSERT_EQ(fired, static_cast<int64_t>(seq)) << "op " << op;
+        ASSERT_EQ(sim.Now(), t);
+        pending[seq] = false;
+      }
+    }
+    ASSERT_EQ(sim.Idle(), live.empty()) << "op " << op;
+  }
+  EXPECT_FALSE(ids.empty());
 }
 
 }  // namespace
